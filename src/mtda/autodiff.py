@@ -6,6 +6,12 @@ pooling, global average pooling, softmax, (weighted) softmax cross-entropy,
 MSE, elementwise arithmetic on scalars, and a gradient-reversal node whose
 backward pass multiplies the incoming adjoint by ``-lambda``.
 
+The conv is a shifted-slice GEMM: the 9 shifted slices of the zero-padded
+input form a column matrix that one matmul with the flattened kernel turns
+into the output. Backward rebuilds the columns (they are not kept in the
+graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
+Pooling sums four strided slices.
+
 All values are numpy arrays; float64 is used in tests (finite-difference
 tolerances require it), float32 is fine for training. Everything is
 single-threaded and deterministic: identical graph + values give bit-identical
@@ -15,7 +21,6 @@ gradients.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from mtda.errors import ContractError, NumericError, ShapeError
 
@@ -142,14 +147,16 @@ def dense(x, w, b):
     return _node(out_val, (x, w, b), backward, name="dense")
 
 
-def _conv_forward(x, k):
-    # x: (n,c,h,w), k: (f,c,3,3); stride 1, zero pad 1.
+def _columns(x):
+    """(n,c,h,w) -> (n, c*9, h*w): the 9 shifted slices of the zero-padded
+    input, ordered (channel, row offset, col offset) like ``k.reshape(f, c*9)``."""
     n, c, h, w = x.shape
-    f = k.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (n,c,h,w,3,3)
-    out = np.einsum("nchwpq,fcpq->nfhw", win, k, optimize=True)
-    return out, win
+    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
+    for p in range(3):
+        for q in range(3):
+            cols[:, :, p, q] = xp[:, :, p : p + h, q : q + w]
+    return cols.reshape(n, c * 9, h * w)
 
 
 def conv2d(x, k):
@@ -161,15 +168,26 @@ def conv2d(x, k):
         raise ShapeError("conv2d kernel must be 3x3", k.shape)
     if x.shape[1] != k.shape[1]:
         raise ShapeError("conv2d channel mismatch", x.shape, k.shape)
-    out_val, win = _conv_forward(x.value, k.value)
+    n, c, h, w = x.shape
+    f = k.shape[0]
+    k2 = k.value.reshape(f, c * 9)
+    out_val = (k2 @ _columns(x.value)).reshape(n, f, h, w)
 
     def backward(g):
-        # dK from the cached input windows; dx is a conv with the kernel
-        # rotated 180 degrees and in/out channels swapped.
-        _accum(k, np.einsum("nchwpq,nfhw->fcpq", win, g, optimize=True))
-        k_back = k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx, _ = _conv_forward(g, k_back)
-        _accum(x, dx)
+        # Rebuilt, not kept in the closure: held columns would cost 9x the
+        # input's memory per conv node until the backward sweep ends.
+        g2 = g.reshape(n, f, h * w)
+        if k.requires_grad:
+            dk = (g2 @ _columns(x.value).transpose(0, 2, 1)).sum(axis=0)
+            _accum(k, dk.reshape(k.shape))
+        if x.requires_grad:
+            # col2im: each column row adds back onto the slice it came from.
+            dcols = (k2.T @ g2).reshape(n, c, 3, 3, h, w)
+            dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+            for p in range(3):
+                for q in range(3):
+                    dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
+            _accum(x, dxp[:, :, 1:-1, 1:-1])
 
     return _node(out_val, (x, k), backward, name="conv2d")
 
@@ -189,15 +207,16 @@ def avg_pool2(x):
     x = _as_tensor(x)
     if x.value.ndim != 4:
         raise ShapeError("avg_pool2 expects rank-4 input", x.shape)
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    v = x.value[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2)
-    out_val = v.mean(axis=(3, 5))
+    h, w = x.shape[2:]
+    quads = [(slice(i, 2 * (h // 2), 2), slice(j, 2 * (w // 2), 2)) for i in (0, 1) for j in (0, 1)]
+    q00, q01, q10, q11 = (x.value[:, :, r, q] for r, q in quads)
+    out_val = 0.25 * (q00 + q01 + q10 + q11)
 
     def backward(g):
         dx = np.zeros_like(x.value)
-        up = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
-        dx[:, :, : 2 * h2, : 2 * w2] = up
+        quarter = 0.25 * g
+        for r, q in quads:
+            dx[:, :, r, q] = quarter
         _accum(x, dx)
 
     return _node(out_val, (x,), backward, name="avg_pool2")

@@ -11,6 +11,7 @@ Used for model checkpoints and for feature files.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -23,6 +24,7 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+MAX_RANK = 64  # numpy's own limit on array dimensions
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -42,26 +44,41 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Parse a container; any malformed byte ends in a ContractError that
+    names the path and the byte offset where parsing stopped."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
-        raise ContractError(f"{path}: not a tensor container (bad magic)")
-    version, count = struct.unpack_from("<HI", data, 4)
+        raise ContractError(f"{path}: not a tensor container (bad magic at byte 0)")
+    offset = 4
+
+    def take(n, what):
+        nonlocal offset
+        if len(data) - offset < n:
+            raise ContractError(
+                f"{path}: truncated {what} at byte {offset} (need {n} bytes, {len(data) - offset} left)"
+            )
+        offset += n
+        return data[offset - n : offset]
+
+    version, count = struct.unpack("<HI", take(6, "header"))
     if version != FORMAT_VERSION:
-        raise ContractError(f"{path}: unsupported container version {version}")
-    offset = 10
+        raise ContractError(f"{path}: unsupported container version {version} at byte 4")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        code, rank = struct.unpack_from("<BB", data, offset)
-        offset += 2
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContractError(f"{path}: tensor name is not UTF-8 at byte {offset - name_len}") from None
+        code, rank = take(2, "dtype/rank")
+        if code not in _CODE_DTYPES:
+            raise ContractError(f"{path}: unknown dtype code {code} at byte {offset - 2}")
+        if rank > MAX_RANK:
+            raise ContractError(f"{path}: rank {rank} exceeds {MAX_RANK} at byte {offset - 1}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         dtype = _CODE_DTYPES[code]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(data[offset : offset + n_bytes], dtype=dtype)
-        offset += n_bytes
-        out[name] = arr.reshape(dims).copy()
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
+        out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    if offset != len(data):
+        raise ContractError(f"{path}: {len(data) - offset} trailing bytes at byte {offset}")
     return out

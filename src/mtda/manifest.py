@@ -46,7 +46,3 @@ def write_manifest(rows, path) -> None:
         writer.writerow(HEADER)
         for r in rows:
             writer.writerow([r.id, r.path, r.scene, r.device, r.parallel_group, r.split, r.feature_path])
-
-
-def devices(rows) -> list[str]:
-    return sorted({r.device for r in rows})

@@ -461,6 +461,10 @@ def sweep(config: TrainConfig, rows, index_table, target_group=None):
     Best lambda maximizes mean target-device accuracy (or the named group),
     ties to the smaller lambda.
     """
+    try:
+        source_device = _source_device([r for r in rows if r.split == "train" and r.feature_path])
+    except ContractError:
+        source_device = None  # every train() below fails on the same rows and records why
     results = []
     for lam in config.lambda_grid:
         run_cfg = replace(config, lambda_d=float(lam))
@@ -470,7 +474,6 @@ def sweep(config: TrainConfig, rows, index_table, target_group=None):
                 outcome.model, rows, device_groups=config.device_groups,
                 config=run_cfg, index_table=index_table,
             )
-            source_device = _source_device([r for r in rows if r.split == "train" and r.feature_path])
             target_accs = [
                 v["accuracy"] for d, v in report.per_device.items() if d != source_device
             ]

@@ -10,7 +10,7 @@ algorithm. Everything is seeded and deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class TsneConfig:
 @dataclass
 class Embedding:
     points: np.ndarray  # n x 2
-    row_ids: list = field(default_factory=list)
     kl_initial: float = float("nan")
     kl_final: float = float("nan")
 
@@ -140,7 +139,7 @@ def kl_gradient(p, y):
     return grad
 
 
-def run_tsne(x, cfg: TsneConfig | None = None, row_ids=None, init=None):
+def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     """Embed rows of x into 2-D by momentum gradient descent on KL(P || Q).
 
     `init` overrides the seeded N(0, 1e-4) starting layout (initialization is
@@ -182,9 +181,4 @@ def run_tsne(x, cfg: TsneConfig | None = None, row_ids=None, init=None):
         y = y - y.mean(axis=0)
 
     kl_final = kl_divergence(p, y)
-    return Embedding(
-        points=y,
-        row_ids=list(row_ids) if row_ids is not None else list(range(n)),
-        kl_initial=kl_initial,
-        kl_final=kl_final,
-    )
+    return Embedding(points=y, kl_initial=kl_initial, kl_final=kl_final)

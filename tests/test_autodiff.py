@@ -75,6 +75,51 @@ class TestConv2d:
             ad.conv2d(ad.Tensor(np.zeros((1, 2, 4, 4))), ad.Tensor(np.zeros((1, 3, 3, 3))))
 
 
+class TestConvPoolAtModelGeometry:
+    """Rectangular, multi-channel shapes like the model's 638x64 input."""
+
+    def test_conv_relu_pool_gradcheck_odd_height(self):
+        # h=7 is odd, so avg_pool2 drops the last row and its gradient is 0.
+        target = RNG.normal(size=(2, 2, 3, 2))
+        check_op(
+            lambda x, k: ad.mse_loss(ad.avg_pool2(ad.relu(ad.conv2d(x, k))), target),
+            [RNG.normal(size=(2, 3, 7, 4)), RNG.normal(size=(2, 3, 3, 3))],
+        )
+
+    def test_matches_nested_loop_oracle_multichannel_rectangular(self):
+        n, c, f, h, w = 2, 2, 3, 5, 4
+        x = RNG.normal(size=(n, c, h, w))
+        k = RNG.normal(size=(f, c, 3, 3))
+        expected = np.zeros((n, f, h, w))
+        for b in range(n):
+            for o in range(f):
+                for i in range(h):
+                    for j in range(w):
+                        for ch in range(c):
+                            for p in range(3):
+                                for q in range(3):
+                                    ii, jj = i + p - 1, j + q - 1
+                                    if 0 <= ii < h and 0 <= jj < w:
+                                        expected[b, o, i, j] += x[b, ch, ii, jj] * k[o, ch, p, q]
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k))
+        np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+
+    def test_data_input_gets_no_gradient(self):
+        x = RNG.normal(size=(2, 2, 5, 4))
+        k = RNG.normal(size=(3, 2, 3, 3))
+        target = RNG.normal(size=(2, 3))
+
+        def loss_of(kt, xt):
+            return ad.mse_loss(ad.global_avg_pool(ad.conv2d(xt, kt)), target)
+
+        xt = ad.Tensor(x)
+        kt = ad.Tensor(k.copy(), requires_grad=True)
+        ad.backward(loss_of(kt, xt))
+        assert xt.grad is None
+        num = numerical_grad(lambda a: loss_of(ad.Tensor(a), ad.Tensor(x)).value, k.copy())
+        assert_grads_close(kt.grad, num)
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_gives_log_k(self):
         logits = np.zeros((3, 10))

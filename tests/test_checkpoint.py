@@ -76,3 +76,77 @@ def test_round_trip_property(tmp_path_factory, spec, seed):
     for name in tensors:
         assert loaded[name].shape == tensors[name].shape
         np.testing.assert_array_equal(loaded[name], tensors[name])
+
+
+def _header_offsets(tensors):
+    """Byte offset of each tensor's dtype code (its rank byte follows)."""
+    offset, found = 10, []
+    for name, arr in tensors.items():
+        offset += 2 + len(name.encode("utf-8"))
+        found.append(offset)
+        offset += 2 + 4 * arr.ndim + arr.nbytes
+    return found
+
+
+def _load_or_contract_error(path, expected):
+    """A load must either fail with ContractError or reproduce `expected` exactly."""
+    try:
+        loaded = load_tensors(path)
+    except ContractError as exc:
+        assert str(path) in str(exc) and "at byte" in str(exc)
+        return False
+    assert set(loaded) == set(expected)
+    for name, arr in expected.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+        np.testing.assert_array_equal(loaded[name], arr)
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(min_size=1, max_size=6),
+        st.tuples(
+            st.sampled_from([np.float32, np.float64]),
+            st.lists(st.integers(0, 3), min_size=0, max_size=3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**31 - 1),
+)
+def test_malformed_bytes_end_in_contract_error(tmp_path_factory, spec, seed):
+    rng = np.random.default_rng(seed)
+    tensors = {name: rng.normal(size=dims).astype(dtype) for name, (dtype, dims) in spec.items()}
+    path = tmp_path_factory.mktemp("ckpt") / "t.mtda"
+    save_tensors(path, tensors)
+    raw = path.read_bytes()
+    bad = path.with_name("bad.mtda")
+    for length in range(len(raw) + 1):
+        bad.write_bytes(raw[:length])
+        assert _load_or_contract_error(bad, tensors) == (length == len(raw))
+    for pos in _header_offsets(tensors):
+        for flipped in (pos, pos + 1):  # dtype code, then rank
+            mutated = bytearray(raw)
+            mutated[flipped] ^= 0xFF
+            bad.write_bytes(bytes(mutated))
+            assert not _load_or_contract_error(bad, tensors)
+
+
+@pytest.mark.parametrize(
+    "mutate,match",
+    [
+        (lambda raw: raw[:7], "truncated header at byte 4"),
+        (lambda raw: raw[:14] + b"\x07" + raw[15:], "unknown dtype code 7 at byte 14"),
+        (lambda raw: raw[:-1], "truncated payload"),
+        (lambda raw: raw + b"\x00", "1 trailing bytes"),
+        (lambda raw: raw[:14] + bytes([0, 65]) + struct.pack("<65I", *[1] * 65) + bytes(4), "rank 65 exceeds 64"),
+    ],
+)
+def test_malformed_error_names_path_and_offset(tmp_path, mutate, match):
+    path = tmp_path / "one.mtda"
+    save_tensors(path, {"ab": np.zeros(2, dtype=np.float32)})
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(ContractError, match=match) as info:
+        load_tensors(path)
+    assert str(path) in str(info.value)
