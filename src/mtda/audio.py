@@ -45,7 +45,6 @@ class AudioClip:
 @dataclass
 class FeatureTensor:
     frames: np.ndarray  # time x 64
-    frame_rate: float = TARGET_RATE / HOP
 
 
 def resample(clip: AudioClip, target_hz: int = TARGET_RATE) -> AudioClip:

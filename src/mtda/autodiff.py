@@ -357,8 +357,3 @@ def backward(loss):
         if not np.all(np.isfinite(node.grad)):
             raise NumericError(f"non-finite adjoint at node {node.name!r}")
         node._backward(node.grad)
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None

@@ -64,9 +64,13 @@ def pairs_from_embedding(embedding_points, rows, device: str, source_device: str
     return pairs
 
 
+def index_table_payload(table: DomainIndexTable) -> dict:
+    """The JSON form of a table, as saved and as embedded in reports."""
+    return {dev: {"distance": e.distance, "index": e.index} for dev, e in table.items()}
+
+
 def save_index_table(table: DomainIndexTable, path) -> None:
-    payload = {dev: {"distance": e.distance, "index": e.index} for dev, e in table.items()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(index_table_payload(table), indent=2, sort_keys=True) + "\n")
 
 
 def load_index_table(path) -> DomainIndexTable:

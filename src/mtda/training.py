@@ -25,6 +25,7 @@ from mtda.geometry import (
     DomainIndexTable,
     assign_indices,
     domain_distance,
+    index_table_payload,
     pairs_from_embedding,
 )
 from mtda.models import (
@@ -59,7 +60,6 @@ class TrainConfig:
     conv_channels: tuple = (4, 8)
     device_groups: dict = field(default_factory=dict)  # e.g. {"B&C": ["B", "C"]}
     normalize_index: bool = False  # rescale mtda-r regression targets to [0, 1]
-    precision: str = "f32"  # f32 for training, f64 for gradient tests
 
     def __post_init__(self):
         Mode(self.mode)
@@ -68,10 +68,6 @@ class TrainConfig:
         n_src = int(round(self.batch_size * self.source_fraction))
         if n_src < 1 or n_src >= self.batch_size:
             raise ContractError("source fraction leaves an empty source or target half")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
 
     @classmethod
     def from_json(cls, path, overrides=None) -> "TrainConfig":
@@ -148,31 +144,32 @@ class Adam:
 class LoadedDataset:
     rows: list
     features: np.ndarray  # aligned with rows, (n, h, w)
-    classes: list
+    classes: list  # scenes of the labeled train rows: the model's outputs, in order
     devices: list
-    source_device: str
 
     def class_onehot(self, scene):
         return np.eye(len(self.classes))[self.classes.index(scene)]
 
 
-def load_dataset(rows) -> LoadedDataset:
-    rows = [r for r in rows if r.feature_path]
+def load_dataset(rows, split="train") -> LoadedDataset:
+    """Load the features of the `split` rows that have them.
+
+    `classes` always comes from the labeled train rows, whatever the split,
+    so that evaluation keys its labels on the same outputs training did.
+    """
+    classes = sorted({r.scene for r in rows if r.split == "train" and r.scene and r.feature_path})
+    rows = [r for r in rows if r.split == split and r.feature_path]
     if not rows:
-        raise ContractError("manifest has no rows with extracted features")
+        raise ContractError(f"manifest has no {split} rows with extracted features")
     feats = [checkpoint.load_tensors(r.feature_path)["features"] for r in rows]
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
-    classes = sorted({r.scene for r in rows if r.scene})
-    source_device = _source_device(rows)
-    devices = sorted({r.device for r in rows})
     return LoadedDataset(
         rows=rows,
         features=np.stack(feats),
         classes=classes,
-        devices=devices,
-        source_device=source_device,
+        devices=sorted({r.device for r in rows}),
     )
 
 
@@ -191,7 +188,8 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
     """Joint t-SNE over time-averaged features, mean parallel-pair distances,
     then rank-based indices. Recomputed per experiment (the embedding is
     stochastic); persist the result next to the run for reproducibility."""
-    data = load_dataset([r for r in rows if r.split == "train"])
+    data = load_dataset(rows)
+    source_device = _source_device(data.rows)
     rng = np.random.default_rng(seed)
     keep = []
     for device in data.devices:
@@ -215,13 +213,13 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
     )
     distances = {}
     for device in data.devices:
-        if device == data.source_device:
+        if device == source_device:
             continue
-        pairs = pairs_from_embedding(emb.points, rows_kept, device, data.source_device)
+        pairs = pairs_from_embedding(emb.points, rows_kept, device, source_device)
         if not pairs:
             raise ContractError(f"device {device} has no parallel data")
         distances[device] = domain_distance(pairs)
-    return assign_indices(distances, source_device=data.source_device)
+    return assign_indices(distances, source_device=source_device)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domain
         else:
             y[pos, 0] = 1.0  # placeholder; masked out of the scene loss
     return Batch(
-        x=data.features[idx].astype(config.dtype),
+        x=data.features[idx].astype(np.float32),
         y_onehot=y,
         d_onehot=np.eye(n_domains)[u],
         u=u,
@@ -266,16 +264,17 @@ def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domain
 def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=None) -> TrainResult:
     start = time.monotonic()
     mode = Mode(config.mode)
-    data = load_dataset([r for r in rows if r.split == "train"])
+    data = load_dataset(rows)
+    source_device = _source_device(data.rows)
     missing = set(data.devices) - set(index_table)
     if missing:
         raise ContractError(f"index table missing devices: {sorted(missing)}")
     n_domains = len(data.devices)
 
-    src_all = [i for i, r in enumerate(data.rows) if r.device == data.source_device]
+    src_all = [i for i, r in enumerate(data.rows) if r.device == source_device]
     tgt_by_device = {}
     for i, r in enumerate(data.rows):
-        if r.device != data.source_device:
+        if r.device != source_device:
             tgt_by_device.setdefault(r.device, []).append(i)
     if not src_all or not tgt_by_device:
         raise ContractError("need at least one source row and one target domain")
@@ -296,7 +295,6 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
             conv_channels=tuple(int(c) for c in config.conv_channels),
         ),
         seed=config.seed,
-        dtype=config.dtype,
     )
     optimizer = Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.eps)
 
@@ -334,7 +332,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
         groups={},
         config=asdict(config),
         seed=config.seed,
-        index_table={d: {"distance": e.distance, "index": e.index} for d, e in index_table.items()},
+        index_table=index_table_payload(index_table),
         wall_time_s=time.monotonic() - start,
         loss_curve=curve,
     )
@@ -344,17 +342,21 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
 def _accuracy(model, data, idx):
     if len(idx) == 0:
         return 0.0
-    preds = predict(model, data.features[idx].astype(model.params["f/w"].dtype))
+    preds = predict(model, data.features[idx])
     truth = np.array([data.classes.index(data.rows[i].scene) for i in idx])
     return float((preds == truth).mean())
 
 
-def predict(model, x, batch_size=64):
-    out = []
+def _inference(model, x, batch_size=64):
+    """Yield the lambda_d = 0 forward pass of each batch of `x`, cast to the
+    model's dtype. A generator, so only one batch's graph is alive at a time."""
+    dtype = model.params["f/w"].dtype
     for lo in range(0, len(x), batch_size):
-        fwd = forward(model, x[lo : lo + batch_size], lambda_d=0.0)
-        out.append(np.argmax(fwd.y_pred.value, axis=1))
-    return np.concatenate(out)
+        yield forward(model, x[lo : lo + batch_size].astype(dtype), lambda_d=0.0)
+
+
+def predict(model, x):
+    return np.concatenate([np.argmax(fwd.y_pred.value, axis=1) for fwd in _inference(model, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +364,24 @@ def predict(model, x, batch_size=64):
 
 
 def evaluate(model: AdversarialModel, rows, device_groups=None, config=None, index_table=None) -> ExperimentReport:
-    import warnings
-
-    test_rows = [r for r in rows if r.split == "test" and r.feature_path]
-    data = _eval_dataset(test_rows)
+    data = load_dataset(rows, "test")
     unlabeled = [r.id for r in data.rows if not r.scene]
     if unlabeled:
         raise ContractError(f"test rows missing evaluation labels: {unlabeled[:3]}...")
-    preds = predict(model, data.features.astype(model.params["f/w"].dtype))
+    if len(data.classes) != model.config.n_classes:
+        raise ContractError(
+            f"manifest has {len(data.classes)} labeled train classes, the model {model.config.n_classes}"
+        )
+    unknown = sorted({r.scene for r in data.rows} - set(data.classes))
+    if unknown:
+        raise ContractError(f"test scenes not among the train classes: {unknown}")
+    preds = predict(model, data.features)
     truth = np.array([data.classes.index(r.scene) for r in data.rows])
     row_devices = np.array([r.device for r in data.rows])
 
     per_device = {}
     for device in data.devices:
         sel = row_devices == device
-        if not sel.any():
-            warnings.warn(f"device {device} has no test rows; omitted", RuntimeWarning)
-            continue
         per_device[device] = {
             "accuracy": float((preds[sel] == truth[sel]).mean()),
             "count": int(sel.sum()),
@@ -394,23 +397,7 @@ def evaluate(model: AdversarialModel, rows, device_groups=None, config=None, ind
         groups=groups,
         config=asdict(config) if config else {},
         seed=config.seed if config else 0,
-        index_table={d: {"distance": e.distance, "index": e.index} for d, e in (index_table or {}).items()},
-    )
-
-
-def _eval_dataset(rows):
-    # like load_dataset but without the single-source-device requirement
-    rows = [r for r in rows if r.feature_path]
-    if not rows:
-        raise ContractError("no test rows with features")
-    feats = [checkpoint.load_tensors(r.feature_path)["features"] for r in rows]
-    classes = sorted({r.scene for r in rows if r.scene})
-    return LoadedDataset(
-        rows=rows,
-        features=np.stack(feats),
-        classes=classes,
-        devices=sorted({r.device for r in rows}),
-        source_device="",
+        index_table=index_table_payload(index_table or {}),
     )
 
 
@@ -435,11 +422,7 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, out_csv, seed
             picks = rng.choice(len(pool), size=n_per_device, replace=False)
             chosen.extend(pool[i] for i in picks)
     feats = np.stack([checkpoint.load_tensors(r.feature_path)["features"] for r in chosen])
-    z = []
-    dtype = model.params["f/w"].dtype
-    for lo in range(0, len(feats), 64):
-        z.append(forward(model, feats[lo : lo + 64].astype(dtype), lambda_d=0.0).z.value)
-    z = np.concatenate(z)
+    z = np.concatenate([fwd.z.value for fwd in _inference(model, feats)])
     emb = run_tsne(z, TsneConfig(iters=tsne_iters, seed=seed))
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,16 @@
 """End-to-end tests for the ``mtda`` command line."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from mtda.checkpoint import save_tensors
 from mtda.cli import main
 from mtda.geometry import DomainEntry, save_index_table
 from mtda.manifest import write_manifest
+from mtda.training import TrainConfig, train
 
 FAST_TRAIN = {
     "mode": "mtda-c2",
@@ -34,16 +38,16 @@ def synth_config(tmp_path):
     return path
 
 
+INDEX_TABLE = {"A": DomainEntry(0.0, 0), "B": DomainEntry(0.5, 1), "C": DomainEntry(1.5, 2)}
+
+
 @pytest.fixture()
 def train_inputs(small_dataset, tmp_path):
     _, rows = small_dataset
     manifest = tmp_path / "manifest.csv"
     write_manifest(rows, manifest)
     index = tmp_path / "index.json"
-    save_index_table(
-        {"A": DomainEntry(0.0, 0), "B": DomainEntry(0.5, 1), "C": DomainEntry(1.5, 2)},
-        index,
-    )
+    save_index_table(INDEX_TABLE, index)
     config = tmp_path / "train.json"
     config.write_text(json.dumps(FAST_TRAIN))
     return manifest, index, config
@@ -230,3 +234,85 @@ class TestSweepCommand:
         assert summary["best_lambda_d"] in (0.5, 1.0)
         assert (out / "sweep.csv").exists()
         assert (out / "report_lambda_0.5.json").exists()
+
+
+def _test_only_device(rows, tmp_path):
+    return rows + [replace(r, id=f"E-{r.id}", device="E") for r in rows if r.device == "C" and r.split == "test"]
+
+
+def _no_parallel_target(rows, tmp_path):
+    return [replace(r, parallel_group="") if r.device == "C" else r for r in rows]
+
+
+def _single_class_source(rows, tmp_path):
+    return [r for r in rows if not (r.device == "A" and r.split == "train" and r.scene != "scene0")]
+
+
+def _unknown_test_scene(rows, tmp_path):
+    return [replace(r, scene="sceneZ") if r.split == "test" and r.scene == "scene0" else r for r in rows]
+
+
+def _odd_test_shape(rows, tmp_path):
+    odd = tmp_path / "odd.mtt"
+    save_tensors(odd, {"features": np.zeros((32, 64), dtype=np.float32)})
+    first_test = next(i for i, r in enumerate(rows) if r.split == "test")
+    return [replace(r, feature_path=str(odd)) if i == first_test else r for i, r in enumerate(rows)]
+
+
+def _no_test_split(rows, tmp_path):
+    return [r for r in rows if r.split != "test"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(small_dataset, tmp_path_factory):
+    _, rows = small_dataset
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.mtda"
+    train(TrainConfig.from_dict(FAST_TRAIN), rows, INDEX_TABLE).model.save(path)
+    return path
+
+
+class TestMalformedManifests:
+    """Bad manifests end in a clean exit code and message, never a traceback.
+    A successful run must report the device that has only test rows."""
+
+    @pytest.mark.parametrize(
+        "mutate, command, code, expect",
+        [
+            (_test_only_device, "train", 0, "E"),
+            (_test_only_device, "eval", 0, "E"),
+            (_no_parallel_target, "index", 1, "device C has no parallel data"),
+            (_single_class_source, "train", 1, "need at least 2 classes"),
+            (_unknown_test_scene, "eval", 1, "not among the train classes"),
+            (_odd_test_shape, "eval", 1, "inconsistent feature shapes"),
+            (_no_test_split, "eval", 1, "no test rows"),
+        ],
+        ids=[
+            "test-only-device-train",
+            "test-only-device-eval",
+            "no-parallel-target-index",
+            "single-class-source-train",
+            "unknown-test-scene-eval",
+            "odd-test-shape-eval",
+            "no-test-split-eval",
+        ],
+    )
+    def test_exit_code_and_message(
+        self, mutate, command, code, expect, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys
+    ):
+        _, rows = small_dataset
+        _, index, config = train_inputs
+        manifest = tmp_path / "bad.csv"
+        write_manifest(mutate(rows, tmp_path), manifest)
+        out = tmp_path / "out"
+        args = {
+            "train": ["--config", str(config), "--index", str(index)],
+            "eval": ["--checkpoint", str(checkpoint_path)],
+            "index": ["--tsne-iters", "60"],
+        }[command]
+        assert main([command, "--manifest", str(manifest), "--out", str(out), *args]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            assert expect in json.loads((out / "report.json").read_text())["per_device"]
+        else:
+            assert expect in err

@@ -1,6 +1,7 @@
 """Tests for the training harness, evaluation, sweeps, and exports."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,43 @@ class TestEvaluate:
         b, c = report.per_device["B"], report.per_device["C"]
         expected = (b["accuracy"] * b["count"] + c["accuracy"] * c["count"]) / (b["count"] + c["count"])
         assert report.groups["B&C"] == pytest.approx(expected, rel=1e-12)
+
+
+def _constant_predictor(n_classes, label):
+    """A model whose classifier outputs `label` for every input."""
+    model = AdversarialModel.initialize(
+        ModelConfig(n_classes=n_classes, n_domains=3, mode=Mode.MTDA_C2, conv_channels=(2, 4)), seed=0
+    )
+    model.params["c/w"][:] = 0.0
+    model.params["c/b"][:] = 0.0
+    model.params["c/b"][label] = 10.0
+    return model
+
+
+class TestEvaluateClasses:
+    def test_missing_test_class_keeps_train_labels(self, small_dataset):
+        # Always predicts scene0; with scene0 absent from the test split the
+        # true accuracy is 0 on every device, not the share of some other scene.
+        _, rows = small_dataset
+        rows = [r for r in rows if not (r.split == "test" and r.scene == "scene0")]
+        report = evaluate(_constant_predictor(3, 0), rows)
+        assert set(report.per_device) == {"A", "B", "C"}
+        for stats in report.per_device.values():
+            assert stats["accuracy"] == 0.0
+
+    def test_unknown_test_scene_rejected(self, small_dataset):
+        _, rows = small_dataset
+        rows = [
+            replace(r, scene="sceneZ") if r.split == "test" and r.scene == "scene0" else r
+            for r in rows
+        ]
+        with pytest.raises(ContractError, match=r"not among the train classes: \['sceneZ'\]"):
+            evaluate(_constant_predictor(3, 1), rows)
+
+    def test_class_count_must_match_model(self, small_dataset):
+        _, rows = small_dataset
+        with pytest.raises(ContractError, match="3 labeled train classes, the model 4"):
+            evaluate(_constant_predictor(4, 0), rows)
 
 
 class TestExportEmbeddings:
