@@ -166,6 +166,18 @@ def _load_train_config(args):
     return TrainConfig.from_json(args.config, overrides)
 
 
+def _train_echo(args, cfg, table):
+    """The run.json fields of train and sweep: the resolved config and its inputs."""
+    from mtda.geometry import index_table_payload
+
+    return {
+        "config": asdict(cfg),
+        "manifest": str(args.manifest),
+        "index": str(args.index),
+        "index_table": index_table_payload(table),
+    }
+
+
 def cmd_train(args):
     from mtda.geometry import load_index_table
     from mtda.manifest import read_manifest
@@ -178,16 +190,12 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     result = train(cfg, rows, table, log_path=out / "train_log.csv")
     result.model.save(out / "checkpoint.mtda")
-    report = evaluate(result.model, rows, device_groups=cfg.device_groups, config=cfg, index_table=table)
+    report = evaluate(result.model, rows, device_groups=cfg.device_groups)
     report.loss_curve = result.report.loss_curve
     report.wall_time_s = result.report.wall_time_s
     report.to_json(out / "report.json")
     _write_accuracy_csv(report, out / "accuracy.csv")
-    _write_run_echo(
-        args.out,
-        "train",
-        {"config": asdict(cfg), "manifest": str(args.manifest), "index": str(args.index)},
-    )
+    _write_run_echo(args.out, "train", _train_echo(args, cfg, table))
     print(f"best holdout accuracy {result.best_holdout_accuracy:.3f}", file=sys.stderr)
 
 
@@ -198,12 +206,8 @@ def cmd_eval(args):
 
     model = AdversarialModel.load(args.checkpoint)
     rows = read_manifest(args.manifest)
-    groups = {}
-    cfg = None
-    if args.config:
-        cfg = TrainConfig.from_json(args.config)
-        groups = cfg.device_groups
-    report = evaluate(model, rows, device_groups=groups, config=cfg)
+    groups = TrainConfig.from_json(args.config).device_groups if args.config else {}
+    report = evaluate(model, rows, device_groups=groups)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_json(out / "report.json")
@@ -235,7 +239,7 @@ def cmd_sweep(args):
     for r in results:
         if r["report"] is not None:
             r["report"].to_json(out / f"report_lambda_{r['lambda_d']:g}.json")
-    _write_run_echo(args.out, "sweep", {"config": asdict(cfg), "manifest": str(args.manifest), "index": str(args.index)})
+    _write_run_echo(args.out, "sweep", _train_echo(args, cfg, table))
     if best:
         print(f"best lambda_d = {best['lambda_d']:g} (score {best['score']:.3f})", file=sys.stderr)
 

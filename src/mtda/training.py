@@ -25,7 +25,6 @@ from mtda.geometry import (
     DomainIndexTable,
     assign_indices,
     domain_distance,
-    index_table_payload,
     pairs_from_embedding,
 )
 from mtda.models import (
@@ -40,6 +39,7 @@ from mtda.models import (
 from mtda.tsne import TsneConfig, run_tsne
 
 LAMBDA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -48,13 +48,9 @@ class TrainConfig:
     lambda_d: float = 1.0
     t: float = 10.0
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
-    source_fraction: float = 0.5
     holdout_fraction: float = 0.2
     lambda_grid: tuple = LAMBDA_GRID
     conv_channels: tuple = (4, 8)
@@ -65,9 +61,13 @@ class TrainConfig:
         Mode(self.mode)
         if self.lambda_d < 0:
             raise ContractError("lambda_d must be >= 0")
-        n_src = int(round(self.batch_size * self.source_fraction))
-        if n_src < 1 or n_src >= self.batch_size:
-            raise ContractError("source fraction leaves an empty source or target half")
+        if self.batch_size < 2:
+            raise ContractError("batch_size must be >= 2")
+
+    @property
+    def n_source(self) -> int:
+        """Source rows per batch: half, rounded half to even."""
+        return int(round(self.batch_size / 2))
 
     @classmethod
     def from_json(cls, path, overrides=None) -> "TrainConfig":
@@ -104,9 +104,6 @@ class TrainConfig:
 class ExperimentReport:
     per_device: dict
     groups: dict
-    config: dict
-    seed: int
-    index_table: dict
     wall_time_s: float = 0.0
     loss_curve: list = field(default_factory=list)  # (step, l_y, l_d, l_total)
 
@@ -115,16 +112,16 @@ class ExperimentReport:
 
 
 class Adam:
-    def __init__(self, params: dict, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for k, g in grads.items():
             if g is None:
                 continue
@@ -133,7 +130,7 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1**self.t)
             v_hat = self.v[k] / (1 - b2**self.t)
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +158,21 @@ def load_dataset(rows, split="train") -> LoadedDataset:
     rows = [r for r in rows if r.split == split and r.feature_path]
     if not rows:
         raise ContractError(f"manifest has no {split} rows with extracted features")
+    return LoadedDataset(
+        rows=rows,
+        features=_stack_features(rows),
+        classes=classes,
+        devices=sorted({r.device for r in rows}),
+    )
+
+
+def _stack_features(rows):
+    """Load each row's feature tensor and stack them; all must share one shape."""
     feats = [checkpoint.load_tensors(r.feature_path)["features"] for r in rows]
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
-    return LoadedDataset(
-        rows=rows,
-        features=np.stack(feats),
-        classes=classes,
-        devices=sorted({r.device for r in rows}),
-    )
+    return np.stack(feats)
 
 
 def _source_device(rows):
@@ -234,7 +236,7 @@ class TrainResult:
 
 
 def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domains):
-    n_src = int(round(config.batch_size * config.source_fraction))
+    n_src = config.n_source
     n_tgt = config.batch_size - n_src
     chosen_src = rng.choice(src_idx, size=n_src, replace=len(src_idx) < n_src)
     target_devices = sorted(tgt_by_device)
@@ -296,10 +298,9 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
         ),
         seed=config.seed,
     )
-    optimizer = Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(model.params, config.learning_rate)
 
-    n_src_per_batch = int(round(config.batch_size * config.source_fraction))
-    steps_per_epoch = max(1, len(src_train) // n_src_per_batch)
+    steps_per_epoch = max(1, len(src_train) // config.n_source)
     curve = []
     best_acc, best_params = -1.0, None
     step = 0
@@ -327,15 +328,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
             writer = csv.writer(fh)
             writer.writerow(["step", "L_y", "L_d", "L_total"])
             writer.writerows(curve)
-    report = ExperimentReport(
-        per_device={},
-        groups={},
-        config=asdict(config),
-        seed=config.seed,
-        index_table=index_table_payload(index_table),
-        wall_time_s=time.monotonic() - start,
-        loss_curve=curve,
-    )
+    report = ExperimentReport(per_device={}, groups={}, wall_time_s=time.monotonic() - start, loss_curve=curve)
     return TrainResult(model=best_model, report=report, best_holdout_accuracy=best_acc)
 
 
@@ -363,7 +356,7 @@ def predict(model, x):
 # evaluation
 
 
-def evaluate(model: AdversarialModel, rows, device_groups=None, config=None, index_table=None) -> ExperimentReport:
+def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentReport:
     data = load_dataset(rows, "test")
     unlabeled = [r.id for r in data.rows if not r.scene]
     if unlabeled:
@@ -392,13 +385,7 @@ def evaluate(model: AdversarialModel, rows, device_groups=None, config=None, ind
         accs = [per_device[d]["accuracy"] for d in members if d in per_device]
         if counts:
             groups[name] = float(np.average(accs, weights=counts))
-    return ExperimentReport(
-        per_device=per_device,
-        groups=groups,
-        config=asdict(config) if config else {},
-        seed=config.seed if config else 0,
-        index_table=index_table_payload(index_table or {}),
-    )
+    return ExperimentReport(per_device=per_device, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +408,7 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, out_csv, seed
         else:
             picks = rng.choice(len(pool), size=n_per_device, replace=False)
             chosen.extend(pool[i] for i in picks)
-    feats = np.stack([checkpoint.load_tensors(r.feature_path)["features"] for r in chosen])
-    z = np.concatenate([fwd.z.value for fwd in _inference(model, feats)])
+    z = np.concatenate([fwd.z.value for fwd in _inference(model, _stack_features(chosen))])
     emb = run_tsne(z, TsneConfig(iters=tsne_iters, seed=seed))
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
@@ -438,11 +424,11 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, out_csv, seed
 # lambda sweep
 
 
-def sweep(config: TrainConfig, rows, index_table, target_group=None):
+def sweep(config: TrainConfig, rows, index_table):
     """One train+evaluate per grid value; failures are recorded, not fatal.
 
-    Best lambda maximizes mean target-device accuracy (or the named group),
-    ties to the smaller lambda.
+    Best lambda maximizes mean target-device accuracy, ties to the smaller
+    lambda.
     """
     try:
         source_device = _source_device([r for r in rows if r.split == "train" and r.feature_path])
@@ -453,18 +439,11 @@ def sweep(config: TrainConfig, rows, index_table, target_group=None):
         run_cfg = replace(config, lambda_d=float(lam))
         try:
             outcome = train(run_cfg, rows, index_table)
-            report = evaluate(
-                outcome.model, rows, device_groups=config.device_groups,
-                config=run_cfg, index_table=index_table,
-            )
+            report = evaluate(outcome.model, rows, device_groups=config.device_groups)
             target_accs = [
                 v["accuracy"] for d, v in report.per_device.items() if d != source_device
             ]
-            score = (
-                report.groups[target_group]
-                if target_group
-                else float(np.mean(target_accs)) if target_accs else 0.0
-            )
+            score = float(np.mean(target_accs)) if target_accs else 0.0
             results.append({"lambda_d": float(lam), "score": score, "report": report, "error": None})
         except (ContractError, NumericError) as exc:
             results.append({"lambda_d": float(lam), "score": None, "report": None, "error": str(exc)})

@@ -3,8 +3,10 @@
 Serves two purposes: computing the joint 2-D embedding used for
 domain-distance estimation, and exporting embeddings of learned features for
 visualization. Gradient descent on KL(P || Q) with a Student-t (df=1) Q,
-momentum 0.5 -> 0.8 and x12 early exaggeration, following the reference
-algorithm. Everything is seeded and deterministic.
+following the reference algorithm on a fixed schedule: learning rate 200,
+momentum 0.5 for the first 250 iterations and 0.8 after, and early
+exaggeration over those same 250 iterations; short runs cap that early
+phase at a quarter of `iters`. Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ import numpy as np
 from mtda.errors import ContractError, NumericError
 
 _BETA_FLOOR = 1e-12  # precision floor; handles duplicate points
+_CALIBRATE_STEPS = 64  # bisection steps per row
+_CALIBRATE_TOL = 1e-4  # on |2^H - perplexity|
+_LEARNING_RATE = 200.0
+_MOMENTUM_EARLY, _MOMENTUM_LATE = 0.5, 0.8
+_EARLY_ITERS = 250  # momentum switch and end of exaggeration
 
 
 @dataclass
 class TsneConfig:
     perplexity: float | None = None  # None -> min(30, n/4)
     iters: int = 1000
-    learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch_iter: int = 250
     exaggeration: float = 12.0
-    exaggeration_iters: int = 250
     seed: int = 0
 
 
@@ -39,55 +41,60 @@ class Embedding:
     kl_final: float = float("nan")
 
 
-def _entropy_and_probs(sq_row, beta):
-    """Shannon entropy (bits) and conditional probabilities at precision beta."""
-    logits = -sq_row * beta
-    logits -= logits.max()
-    p = np.exp(logits)
-    s = p.sum()
-    if s <= 0:
-        p = np.full_like(sq_row, 1.0 / len(sq_row))
-        return np.log2(len(sq_row)), p
-    p /= s
-    nz = p > 0
-    h = float(-(p[nz] * np.log2(p[nz])).sum())
-    return h, p
+def _calibrate(sq, perplexity):
+    """Bisect the Gaussian precision of every row of `sq` at once.
+
+    `sq` is (m, n-1): each row holds one point's squared distances to the
+    other points. Each row stops once 2^H(p) is within tolerance of
+    `perplexity`; only rows still searching are recomputed. Returns
+    (sigma, probabilities); rows that never converge keep the last
+    bandwidth tried, with one warning for the call.
+    """
+    sq = np.asarray(sq, dtype=np.float64)
+    if np.any(sq < 0):
+        raise ContractError("squared distances must be non-negative")
+    m, n_other = sq.shape
+    if not 2 <= perplexity <= n_other + 1:
+        raise ContractError(f"perplexity {perplexity} outside [2, {n_other + 1}]")
+    target = np.log2(perplexity)
+    beta, beta_lo, beta_hi = np.ones(m), np.zeros(m), np.full(m, np.inf)
+    probs, h = np.empty_like(sq), np.empty(m)
+    rows = np.arange(m)
+    for step in range(_CALIBRATE_STEPS + 1):
+        q = sq[rows]
+        q *= -beta[rows, None]
+        q -= q.max(axis=1, keepdims=True)
+        np.exp(q, out=q)
+        q /= q.sum(axis=1, keepdims=True)
+        plogp = np.log2(q, out=np.zeros_like(q), where=q > 0)
+        plogp *= q
+        probs[rows], h[rows] = q, -plogp.sum(axis=1)
+        rows = rows[~(np.abs(2.0 ** h[rows] - perplexity) <= _CALIBRATE_TOL)]  # NaN keeps searching
+        if not rows.size or step == _CALIBRATE_STEPS:
+            break
+        b, flat = beta[rows], h[rows] > target  # too flat: raise precision
+        lo = beta_lo[rows] = np.where(flat, b, beta_lo[rows])
+        hi = beta_hi[rows] = np.where(flat, beta_hi[rows], b)
+        beta[rows] = np.maximum(np.where(np.isinf(hi), b * 2.0, (lo + hi) / 2.0), _BETA_FLOOR)
+    if rows.size:
+        gap = np.abs(2.0 ** h[rows] - perplexity).max()
+        warnings.warn(
+            f"perplexity calibration did not converge for {rows.size} of {m} rows "
+            f"(max |2^H - perp| = {gap:.3g})",
+            RuntimeWarning,
+        )
+    return np.sqrt(1.0 / (2.0 * beta)), probs
 
 
-def perplexity_calibrate(sq_distances_row, perplexity, max_iters=64, tol=1e-4):
+def perplexity_calibrate(sq_distances_row, perplexity):
     """Binary-search the Gaussian bandwidth for one point's neighbor row.
 
     `sq_distances_row` holds squared distances to the other n-1 points. The
     search targets 2^H(p) == perplexity. Returns (sigma, probabilities). On
     non-convergence the best bandwidth found is returned with a warning.
     """
-    sq_row = np.asarray(sq_distances_row, dtype=np.float64)
-    if np.any(sq_row < 0):
-        raise ContractError("squared distances must be non-negative")
-    n_other = len(sq_row)
-    if not 2 <= perplexity <= n_other + 1:
-        raise ContractError(f"perplexity {perplexity} outside [2, {n_other + 1}]")
-    target = np.log2(perplexity)
-    beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
-    h, p = _entropy_and_probs(sq_row, beta)
-    for _ in range(max_iters):
-        if abs(2.0**h - perplexity) <= tol:
-            break
-        if h > target:  # distribution too flat: raise precision
-            beta_lo = beta
-            beta = beta * 2.0 if np.isinf(beta_hi) else (beta_lo + beta_hi) / 2.0
-        else:
-            beta_hi = beta
-            beta = (beta_lo + beta_hi) / 2.0
-        beta = max(beta, _BETA_FLOOR)
-        h, p = _entropy_and_probs(sq_row, beta)
-    else:
-        warnings.warn(
-            f"perplexity calibration did not converge (|2^H - perp| = {abs(2**h - perplexity):.3g})",
-            RuntimeWarning,
-        )
-    sigma = float(np.sqrt(1.0 / (2.0 * beta)))
-    return sigma, p
+    sigma, p = _calibrate(np.asarray(sq_distances_row)[None], perplexity)
+    return float(sigma[0]), p[0]
 
 
 def pairwise_sq_distances(x):
@@ -104,12 +111,9 @@ def affinities(x, perplexity):
     n = x.shape[0]
     if n < 3:
         raise ContractError("need at least 3 points")
-    d = pairwise_sq_distances(x)
-    cond = np.zeros((n, n))
     mask = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        _, p = perplexity_calibrate(d[i][mask[i]], perplexity)
-        cond[i][mask[i]] = p
+    cond = np.zeros((n, n))
+    cond[mask] = _calibrate(pairwise_sq_distances(x)[mask].reshape(n, n - 1), perplexity)[1].ravel()
     p_joint = (cond + cond.T) / (2.0 * n)
     np.fill_diagonal(p_joint, 0.0)
     return p_joint
@@ -164,19 +168,18 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    # Short runs shrink the early phases proportionally; exaggeration must
+    # Short runs shrink the early phase proportionally; exaggeration must
     # end well before the run does or the final KL reflects the wrong target.
-    exaggeration_iters = min(cfg.exaggeration_iters, cfg.iters // 4)
-    momentum_switch = min(cfg.momentum_switch_iter, cfg.iters // 4)
+    early = min(_EARLY_ITERS, cfg.iters // 4)
     for it in range(cfg.iters):
-        p_eff = p * cfg.exaggeration if it < exaggeration_iters else p
+        p_eff = p * cfg.exaggeration if it < early else p
         grad = kl_gradient(p_eff, y)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
-        momentum = cfg.momentum_early if it < momentum_switch else cfg.momentum_late
+        momentum = _MOMENTUM_EARLY if it < early else _MOMENTUM_LATE
         gains = np.where(np.sign(grad) != np.sign(velocity), gains + 0.2, gains * 0.8)
         gains = np.maximum(gains, 0.01)
-        velocity = momentum * velocity - cfg.learning_rate * gains * grad
+        velocity = momentum * velocity - _LEARNING_RATE * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
 

@@ -202,6 +202,18 @@ class TestTrainEval:
         assert header == "id,device,scene,y0,y1"
 
 
+    def test_index_table_recorded_in_run_json_not_reports(self, train_inputs, tmp_path):
+        manifest, index, config = train_inputs
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(run)]) == 0
+        assert json.loads((run / "run.json").read_text())["index_table"] == json.loads(index.read_text())
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.mtda"), "--manifest", str(manifest),
+                     "--out", str(ev)]) == 0
+        for report in (run / "report.json", ev / "report.json"):
+            assert "index_table" not in json.loads(report.read_text())
+
+
 class TestIndexCommand:
     def test_writes_index_table(self, train_inputs, tmp_path):
         manifest, _, _ = train_inputs
@@ -284,6 +296,7 @@ class TestMalformedManifests:
             (_single_class_source, "train", 1, "need at least 2 classes"),
             (_unknown_test_scene, "eval", 1, "not among the train classes"),
             (_odd_test_shape, "eval", 1, "inconsistent feature shapes"),
+            (_odd_test_shape, "export-embeddings", 1, "inconsistent feature shapes"),
             (_no_test_split, "eval", 1, "no test rows"),
         ],
         ids=[
@@ -293,6 +306,7 @@ class TestMalformedManifests:
             "single-class-source-train",
             "unknown-test-scene-eval",
             "odd-test-shape-eval",
+            "odd-test-shape-export",
             "no-test-split-eval",
         ],
     )
@@ -308,6 +322,8 @@ class TestMalformedManifests:
             "train": ["--config", str(config), "--index", str(index)],
             "eval": ["--checkpoint", str(checkpoint_path)],
             "index": ["--tsne-iters", "60"],
+            # each device's whole pool of 24 rows, so the odd row is exported
+            "export-embeddings": ["--checkpoint", str(checkpoint_path), "--n-per-device", "24"],
         }[command]
         assert main([command, "--manifest", str(manifest), "--out", str(out), *args]) == code
         err = capsys.readouterr().err

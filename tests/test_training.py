@@ -39,9 +39,14 @@ class TestTrainConfig:
         assert cfg.t == 10.0
         assert cfg.lambda_grid == (0.2, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0)
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize("key", ["learning_rat", "beta1", "source_fraction"])
+    def test_unknown_key_rejected(self, key):
         with pytest.raises(ContractError, match="unknown config keys"):
-            TrainConfig.from_dict({"learning_rat": 0.1})
+            TrainConfig.from_dict({key: 0.1})
+
+    def test_batch_needs_a_source_and_a_target_row(self):
+        with pytest.raises(ContractError, match="batch_size must be >= 2"):
+            TrainConfig(batch_size=1)
 
     def test_override_typing(self):
         cfg = TrainConfig.from_dict({"mode": "dann"}, overrides={"lambda_d": "2.0", "epochs": "5"})

@@ -1,5 +1,7 @@
 """Tests for the exact t-SNE implementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mtda.tsne import (
     affinities,
     kl_divergence,
     kl_gradient,
+    pairwise_sq_distances,
     perplexity_calibrate,
     run_tsne,
 )
@@ -89,10 +92,28 @@ class TestAffinities:
         expected = (cond + cond.T) / (2 * n)
         np.testing.assert_allclose(p, expected, rtol=1e-3, atol=1e-9)
 
+    @pytest.mark.parametrize("perp", [2.0, 8.0, 30.0])
+    def test_matches_row_by_row_calibration_bitwise(self, perp):
+        x = np.random.default_rng(21).normal(size=(40, 5))
+        n = len(x)
+        d = pairwise_sq_distances(x)
+        cond = np.zeros((n, n))
+        for i in range(n):
+            others = np.arange(n) != i
+            cond[i, others] = perplexity_calibrate(d[i, others], perp)[1]
+        expected = (cond + cond.T) / (2.0 * n)
+        np.fill_diagonal(expected, 0.0)
+        np.testing.assert_array_equal(affinities(x, perp), expected)
+
     def test_duplicate_points_allowed(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-        p = affinities(x, 2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = affinities(x, 2.0)
         assert np.all(np.isfinite(p))
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert "did not converge for 1 of 4 rows" in messages[0]
 
 
 class TestGradient:
