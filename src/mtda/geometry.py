@@ -75,4 +75,14 @@ def save_index_table(table: DomainIndexTable, path) -> None:
 
 def load_index_table(path) -> DomainIndexTable:
     payload = json.loads(Path(path).read_text())
-    return {dev: DomainEntry(distance=v["distance"], index=int(v["index"])) for dev, v in payload.items()}
+    if not isinstance(payload, dict):
+        raise ContractError(f"index table {path} must be a JSON object keyed by device")
+    table = {}
+    for dev, v in payload.items():
+        try:
+            table[dev] = DomainEntry(distance=float(v["distance"]), index=int(v["index"]))
+        except (KeyError, TypeError, ValueError):
+            raise ContractError(
+                f"index table {path}: device {dev} needs a numeric distance and index, got {v!r}"
+            ) from None
+    return table

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +86,10 @@ class SynthConfig:
     @classmethod
     def from_json(cls, path) -> "SynthConfig":
         payload = json.loads(Path(path).read_text())
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
+        if unknown or missing:
+            raise ContractError(f"synth config: unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
         payload["devices"] = [tuple(d) for d in payload["devices"]]
         return cls(**payload)
 

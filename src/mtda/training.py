@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,13 @@ class TrainConfig:
     normalize_index: bool = False  # rescale mtda-r regression targets to [0, 1]
 
     def __post_init__(self):
+        for f in fields(self):
+            value, default = getattr(self, f.name), _field_default(f)
+            if isinstance(default, tuple) and isinstance(value, list):
+                value = tuple(value)
+                setattr(self, f.name, value)
+            if not _is_kind(value, default):
+                raise ContractError(f"config field {f.name} must be {_kind_name(default)}, got {value!r}")
         Mode(self.mode)
         if self.lambda_d < 0:
             raise ContractError("lambda_d must be >= 0")
@@ -76,28 +84,63 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload: dict, overrides=None) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        """`payload` holds JSON values; `overrides` holds strings, parsed by each field's type."""
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(payload) - set(known)
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**{
-            k: tuple(v) if k in ("lambda_grid", "conv_channels") else v
-            for k, v in payload.items()
-        })
-        for key, value in (overrides or {}).items():
+        parsed = {}
+        for key, text in (overrides or {}).items():
             if key not in known:
                 raise ContractError(f"unknown override key: {key}")
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                value = value in ("1", "true", "True")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            elif isinstance(current, tuple):
-                value = tuple(float(v) for v in str(value).split(","))
-            cfg = replace(cfg, **{key: value})
-        return cfg
+            parsed[key] = _parse_override(key, text, _field_default(known[key]))
+        return cls(**{**payload, **parsed})
+
+
+_BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
+
+
+def _field_default(f):
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+def _is_kind(value, default) -> bool:
+    """Whether `value` has the type of a field whose default is `default`."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_is_kind(v, default[0]) for v in value)
+    if isinstance(default, dict):  # device groups: name -> member devices
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and isinstance(m, (list, tuple)) and all(isinstance(d, str) for d in m)
+            for k, m in value.items()
+        )
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, type(default))
+
+
+def _kind_name(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {type(default[0]).__name__}"
+    if isinstance(default, dict):
+        return "an object of string lists"
+    return type(default).__name__
+
+
+def _parse_override(key, text, default):
+    try:
+        if isinstance(default, bool):
+            return _BOOLS[text]
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v) for v in text.split(","))
+        if isinstance(default, dict):
+            return json.loads(text)
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise ContractError(f"override {key}={text!r} is not {_kind_name(default)}") from None
 
 
 @dataclass
@@ -249,9 +292,8 @@ def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domain
     u = np.array([index_table[data.rows[i].device].index for i in idx])
     y = np.zeros((len(idx), len(data.classes)))
     for pos, i in enumerate(idx):
-        scene = data.rows[i].scene
-        if u[pos] == 0 and scene:
-            y[pos] = data.class_onehot(scene)
+        if u[pos] == 0:
+            y[pos] = data.class_onehot(data.rows[i].scene)
         else:
             y[pos, 0] = 1.0  # placeholder; masked out of the scene loss
     return Batch(
@@ -272,6 +314,15 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
     if missing:
         raise ContractError(f"index table missing devices: {sorted(missing)}")
     n_domains = len(data.devices)
+    indices = {d: index_table[d].index for d in data.devices}
+    if sorted(indices.values()) != list(range(n_domains)) or indices[source_device] != 0:
+        raise ContractError(
+            f"index table must number the train devices 0..{n_domains - 1} with source {source_device} at 0,"
+            f" got {indices}"
+        )
+    unlabeled = [r.id for r in data.rows if r.device == source_device and not r.scene]
+    if unlabeled:
+        raise ContractError(f"{len(unlabeled)} source train rows have no scene label: {unlabeled[:3]}")
 
     src_all = [i for i, r in enumerate(data.rows) if r.device == source_device]
     tgt_by_device = {}
@@ -294,7 +345,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
             n_classes=len(data.classes),
             n_domains=n_domains,
             mode=mode,
-            conv_channels=tuple(int(c) for c in config.conv_channels),
+            conv_channels=config.conv_channels,
         ),
         seed=config.seed,
     )

@@ -74,6 +74,24 @@ class TestDispatch:
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, expect",
+        [
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 2, "colour": 1},
+                "unknown keys ['colour']",
+            ),
+            ({"n_classes": 2, "samples_per_device_per_class": 2}, "missing keys ['devices']"),
+        ],
+        ids=["unknown-key", "missing-devices"],
+    )
+    def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert expect in err and "Traceback" not in err
+
 
 class TestSynth:
     def test_writes_dataset_and_run_echo(self, synth_config, tmp_path, capsys):
@@ -332,3 +350,95 @@ class TestMalformedManifests:
             assert expect in json.loads((out / "report.json").read_text())["per_device"]
         else:
             assert expect in err
+
+
+class TestRunRecord:
+    """main owns run.json: every parsed flag, written only when the command succeeds."""
+
+    @pytest.mark.parametrize("command", ["eval", "ingest"])
+    def test_seed_rejected_where_unused(self, command, train_inputs, checkpoint_path, tmp_path, capsys):
+        manifest, _, _ = train_inputs
+        out = tmp_path / "out"
+        extra = ["--checkpoint", str(checkpoint_path)] if command == "eval" else []
+        assert main([command, "--manifest", str(manifest), "--out", str(out), "--seed", "5", *extra]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_records_every_flag(self, train_inputs, checkpoint_path, tmp_path):
+        manifest, _, config = train_inputs
+        ex, ev = tmp_path / "emb", tmp_path / "eval"
+        assert main(["export-embeddings", "--checkpoint", str(checkpoint_path), "--manifest", str(manifest),
+                     "--n-per-device", "6", "--tsne-iters", "60", "--out", str(ex)]) == 0
+        assert json.loads((ex / "run.json").read_text()) == {
+            "command": "export-embeddings", "checkpoint": str(checkpoint_path), "manifest": str(manifest),
+            "n_per_device": 6, "tsne_iters": 60, "seed": 0, "out": str(ex),
+        }
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--manifest", str(manifest),
+                     "--config", str(config), "--out", str(ev)]) == 0
+        assert json.loads((ev / "run.json").read_text())["config"] == str(config)
+
+    def test_failed_command_writes_no_run_json(self, small_dataset, train_inputs, tmp_path):
+        _, rows = small_dataset
+        _, index, config = train_inputs
+        manifest = tmp_path / "bad.csv"
+        write_manifest(_unknown_test_scene(rows, tmp_path), manifest)
+        run, ing = tmp_path / "run", tmp_path / "ingest"
+        # train fails in evaluate, after the checkpoint is written
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(run)]) == 1
+        assert (run / "checkpoint.mtda").exists() and not (run / "run.json").exists()
+        # ingest fails on rows without a WAV path
+        assert main(["ingest", "--manifest", str(manifest), "--out", str(ing)]) == 1
+        assert ing.is_dir() and not (ing / "run.json").exists()
+
+
+class TestMalformedTrainInputs:
+    """Mistyped config values and malformed index tables exit 1 before training."""
+
+    @pytest.mark.parametrize(
+        "payload, overrides, expect",
+        [
+            ({}, ["normalize_index=yes"], "override normalize_index='yes' is not bool"),
+            ({}, ["device_groups=B"], "override device_groups='B' is not an object of string lists"),
+            ({}, ['device_groups={"t": "B"}'], "device_groups must be an object of string lists"),
+            ({}, ["conv_channels=2.5,4"], "override conv_channels='2.5,4' is not a list of int"),
+            ({"lambda_d": "1.0"}, [], "lambda_d must be float, got '1.0'"),
+            ({"epochs": "1"}, [], "epochs must be int, got '1'"),
+        ],
+        ids=["bool-yes", "groups-string", "groups-not-lists", "channels-float", "file-lambda-str", "file-epochs-str"],
+    )
+    def test_mistyped_config(self, payload, overrides, expect, train_inputs, tmp_path, capsys):
+        manifest, index, _ = train_inputs
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**FAST_TRAIN, **payload}))
+        out = tmp_path / "run"
+        args = [arg for o in overrides for arg in ("--override", o)]
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert expect in err and "Traceback" not in err
+        assert not (out / "checkpoint.mtda").exists()
+
+    @pytest.mark.parametrize(
+        "patch, expect",
+        [
+            ({"B": {"distance": 0.5}}, "device B needs a numeric distance and index"),
+            ({"C": {"distance": 1.5, "index": 7}}, "must number the train devices 0..2 with source A at 0"),
+            ({"C": {"distance": 1.5, "index": 1}}, "must number the train devices 0..2 with source A at 0"),
+            (
+                {"A": {"distance": 0.0, "index": 1}, "B": {"distance": 0.5, "index": 0}},
+                "must number the train devices 0..2 with source A at 0",
+            ),
+        ],
+        ids=["no-index", "out-of-range", "duplicate", "swapped-source"],
+    )
+    def test_malformed_index_table(self, patch, expect, train_inputs, tmp_path, capsys):
+        manifest, index, config = train_inputs
+        bad = tmp_path / "bad_index.json"
+        bad.write_text(json.dumps({**json.loads(index.read_text()), **patch}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(bad),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert expect in err and "Traceback" not in err
+        assert not (out / "checkpoint.mtda").exists()

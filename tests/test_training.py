@@ -52,6 +52,16 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"mode": "dann"}, overrides={"lambda_d": "2.0", "epochs": "5"})
         assert cfg.lambda_d == 2.0 and cfg.epochs == 5 and cfg.mode == "dann"
 
+    def test_override_parsed_by_field_type(self):
+        cfg = TrainConfig.from_dict(
+            {"normalize_index": True},
+            overrides={"conv_channels": "2,4", "lambda_grid": "0.5,1", "normalize_index": "0",
+                       "device_groups": '{"t": ["B", "C"]}'},
+        )
+        assert cfg.conv_channels == (2, 4) and all(type(c) is int for c in cfg.conv_channels)
+        assert cfg.lambda_grid == (0.5, 1.0) and cfg.normalize_index is False
+        assert cfg.device_groups == {"t": ["B", "C"]}
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ContractError, match="unknown override"):
             TrainConfig.from_dict({}, overrides={"lambda": "1"})
@@ -159,6 +169,13 @@ class TestTrain:
         _, rows = small_dataset
         with pytest.raises(ContractError, match="index table missing"):
             train(TrainConfig(**FAST), rows, {"A": DomainEntry(0.0, 0)})
+
+    def test_unlabeled_source_rows_rejected(self, small_dataset):
+        _, rows = small_dataset
+        first = next(i for i, r in enumerate(rows) if r.device == "A" and r.split == "train")
+        blanked = [replace(r, scene="") if i == first else r for i, r in enumerate(rows)]
+        with pytest.raises(ContractError, match=rf"1 source train rows have no scene label: \['{rows[first].id}'\]"):
+            train(TrainConfig(**FAST), blanked, INDEX_TABLE)
 
     def test_no_source_rows_rejected(self, small_dataset):
         _, rows = small_dataset
