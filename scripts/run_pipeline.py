@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthesize a dataset, compute domain indices, train one
-model per mode, and evaluate. Everything goes through the `mtda` CLI so this
+model per mode, evaluate, re-evaluate one saved checkpoint, and export its
+t-SNE embedding. Everything goes through the `mtda` CLI so this
 doubles as a smoke test of the command surface.
 
 Usage: python scripts/run_pipeline.py [workdir]
@@ -65,6 +66,14 @@ def main():
         accs = {d: round(v["accuracy"], 3) for d, v in report["per_device"].items()}
         print(f"{mode}: {accs}")
 
+    # eval of a trained checkpoint must reproduce the accuracy.csv train wrote
+    cli(
+        "eval",
+        "--checkpoint", str(WORK / "mtda-c2" / "checkpoint.mtda"),
+        "--manifest", str(data / "manifest.csv"),
+        "--config", str(train_cfg),
+        "--out", str(WORK / "eval"),
+    )
     cli(
         "export-embeddings",
         "--checkpoint", str(WORK / "mtda-c2" / "checkpoint.mtda"),

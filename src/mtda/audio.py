@@ -19,7 +19,6 @@ from scipy.signal import get_window, resample_poly
 
 from mtda import checkpoint
 from mtda.errors import ContractError
-from mtda.manifest import write_manifest
 
 TARGET_RATE = 32000
 CLIP_SAMPLES = 10 * TARGET_RATE
@@ -137,7 +136,7 @@ class IngestResult:
         return not self.errors
 
 
-def ingest(rows, out_dir, manifest_out=None) -> IngestResult:
+def ingest(rows, out_dir) -> IngestResult:
     """Extract features for every manifest row; content-addressed, so reruns skip.
 
     Output names embed a hash of the source bytes and frontend parameters;
@@ -162,6 +161,4 @@ def ingest(rows, out_dir, manifest_out=None) -> IngestResult:
         except (ContractError, wave.Error, EOFError, OSError, ValueError) as exc:
             errors.append((row.id, str(exc)))
             updated.append(row)
-    if manifest_out is not None:
-        write_manifest(updated, manifest_out)
     return IngestResult(rows=updated, errors=errors)

@@ -13,6 +13,11 @@ command resolved from them (the config of ``synth``, ``train`` and
 table of ``train`` and ``sweep``), enough to re-execute the run. Machine
 outputs go to files only; diagnostics go to stderr. Exit codes: 0 success,
 1 contract violation, 2 I/O failure.
+
+Files that are only outputs (``run.json``, reports, logs, accuracy, sweep and
+embedding tables) are written here alone, by ``_write_json`` and
+``_write_csv``. Files the library reads back (``index.json``, checkpoints,
+features, manifests) keep their save/load pair in the module that owns them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 
 from mtda.errors import ContractError, NumericError
 from mtda.geometry import index_table_payload, load_index_table, save_index_table
-from mtda.manifest import read_manifest
+from mtda.manifest import read_manifest, write_manifest
 from mtda.models import AdversarialModel
 from mtda.synth import SynthConfig, make_dataset
 from mtda.training import TrainConfig, compute_index_table, evaluate, export_embeddings, sweep, train
@@ -55,7 +60,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         resolved = args.handler(args, out) or {}
         flags = {k: v for k, v in vars(args).items() if k != "handler"}
-        (out / "run.json").write_text(json.dumps({**flags, **resolved}, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "run.json", {**flags, **resolved})
         return 0
     except (ValueError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args, out):
-    cfg = SynthConfig.from_json(args.config)
+    cfg = SynthConfig.from_dict(_read_config(args.config))
     if args.seed is not None:
         cfg.seed = args.seed
     make_dataset(cfg, out)
@@ -105,7 +110,8 @@ def cmd_synth(args, out):
 def cmd_ingest(args, out):
     from mtda.audio import ingest  # imports scipy.signal (~1 s), which no other command needs
 
-    result = ingest(read_manifest(args.manifest), out / "features", manifest_out=out / "manifest.csv")
+    result = ingest(read_manifest(args.manifest), out / "features")
+    write_manifest(result.rows, out / "manifest.csv")
     for row_id, message in result.errors:
         print(f"row {row_id}: {message}", file=sys.stderr)
     if not result.ok:
@@ -119,6 +125,13 @@ def cmd_index(args, out):
     print(f"wrote {out / 'index.json'}", file=sys.stderr)
 
 
+def _read_config(path) -> dict:
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ContractError(f"config {path} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def _train_inputs(args):
     """The resolved config, the manifest rows and the index table of train and sweep."""
     overrides = {}
@@ -129,13 +142,14 @@ def _train_inputs(args):
         overrides[key] = value
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    cfg = TrainConfig.from_json(args.config, overrides)
+    cfg = TrainConfig.from_dict(_read_config(args.config), overrides)
     return cfg, read_manifest(args.manifest), load_index_table(args.index)
 
 
 def cmd_train(args, out):
     cfg, rows, table = _train_inputs(args)
-    result = train(cfg, rows, table, log_path=out / "train_log.csv")
+    result = train(cfg, rows, table)
+    _write_csv(out / "train_log.csv", ["step", "L_y", "L_d", "L_total"], result.report.loss_curve)
     result.model.save(out / "checkpoint.mtda")
     report = evaluate(result.model, rows, device_groups=cfg.device_groups)
     report.loss_curve = result.report.loss_curve
@@ -148,52 +162,58 @@ def cmd_train(args, out):
 def cmd_eval(args, out):
     model = AdversarialModel.load(args.checkpoint)
     rows = read_manifest(args.manifest)
-    groups = TrainConfig.from_json(args.config).device_groups if args.config else {}
+    groups = TrainConfig.from_dict(_read_config(args.config)).device_groups if args.config else {}
     _write_report(evaluate(model, rows, device_groups=groups), out)
 
 
 def cmd_sweep(args, out):
     cfg, rows, table = _train_inputs(args)
     results, best = sweep(cfg, rows, table)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_d", "score", "error"])
-        for r in results:
-            writer.writerow([r["lambda_d"], "" if r["score"] is None else f"{r['score']:.6f}", r["error"] or ""])
+    table_rows = [[r["lambda_d"], "" if r["score"] is None else f"{r['score']:.6f}", r["error"] or ""] for r in results]
+    _write_csv(out / "sweep.csv", ["lambda_d", "score", "error"], table_rows)
     summary = {
         "best_lambda_d": best["lambda_d"] if best else None,
         "results": [{"lambda_d": r["lambda_d"], "score": r["score"], "error": r["error"]} for r in results],
     }
-    (out / "sweep.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(out / "sweep.json", summary)
     for r in results:
         if r["report"] is not None:
-            r["report"].to_json(out / f"report_lambda_{r['lambda_d']:g}.json")
-    if best:
-        print(f"best lambda_d = {best['lambda_d']:g} (score {best['score']:.3f})", file=sys.stderr)
+            _write_json(out / f"report_lambda_{r['lambda_d']:g}.json", asdict(r["report"]))
+    if not best:
+        raise ContractError(f"no lambda_d value trained; at {results[0]['lambda_d']:g}: {results[0]['error']}")
+    print(f"best lambda_d = {best['lambda_d']:g} (score {best['score']:.3f})", file=sys.stderr)
     return {"config": asdict(cfg), "index_table": index_table_payload(table)}
 
 
 def cmd_export(args, out):
-    export_embeddings(
+    emb, chosen = export_embeddings(
         AdversarialModel.load(args.checkpoint),
         read_manifest(args.manifest),
         n_per_device=args.n_per_device,
-        out_csv=out / "embeddings.csv",
         seed=args.seed,
         tsne_iters=args.tsne_iters,
     )
+    points = [[r.id, r.device, r.scene, f"{y0:.6f}", f"{y1:.6f}"] for r, (y0, y1) in zip(chosen, emb.points)]
+    _write_csv(out / "embeddings.csv", ["id", "device", "scene", "y0", "y1"], points)
 
 
 def _write_report(report, out):
     """report.json and its per-device/per-group accuracy.csv."""
-    report.to_json(out / "report.json")
-    with open(out / "accuracy.csv", "w", newline="") as fh:
+    _write_json(out / "report.json", asdict(report))
+    devices = [[d, "device", f"{s['accuracy']:.6f}", s["count"]] for d, s in sorted(report.per_device.items())]
+    groups = [[g, "group", f"{acc:.6f}", ""] for g, acc in sorted(report.groups.items())]
+    _write_csv(out / "accuracy.csv", ["name", "kind", "accuracy", "count"], devices + groups)
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["name", "kind", "accuracy", "count"])
-        for device, stats in sorted(report.per_device.items()):
-            writer.writerow([device, "device", f"{stats['accuracy']:.6f}", stats["count"]])
-        for group, acc in sorted(report.groups.items()):
-            writer.writerow([group, "group", f"{acc:.6f}", ""])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ def pairs_from_embedding(embedding_points, rows, device: str, source_device: str
 
 
 def index_table_payload(table: DomainIndexTable) -> dict:
-    """The JSON form of a table, as saved and as embedded in reports."""
+    """The JSON form of a table, as saved and as recorded in run.json."""
     return {dev: {"distance": e.distance, "index": e.index} for dev, e in table.items()}
 
 

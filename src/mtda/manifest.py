@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 HEADER = ["id", "path", "scene", "device", "parallel_group", "split", "feature_path"]
 
@@ -39,10 +38,7 @@ def read_manifest(path) -> list[ManifestRow]:
 
 
 def write_manifest(rows, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        for r in rows:
-            writer.writerow([r.id, r.path, r.scene, r.device, r.parallel_group, r.split, r.feature_path])
+        writer.writerows([getattr(r, k) for k in HEADER] for r in rows)

@@ -64,16 +64,16 @@ class ModelConfig:
 
 
 class AdversarialModel:
-    """Parameter store plus mode tag; construction fixes the D head width."""
+    """Parameter store plus mode tag; construction checks every name and shape against the config."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = params
-        expected = head_width(config.mode, config.n_domains)
-        if params["d/w2"].shape[1] != expected:
+        expected, shapes = param_shapes(config), {k: v.shape for k, v in params.items()}
+        wrong = sorted(k for k in expected.keys() | shapes.keys() if expected.get(k) != shapes.get(k))
+        if wrong:
             raise ContractError(
-                f"discriminator width {params['d/w2'].shape[1]} inconsistent with mode "
-                f"{config.mode.value} (expected {expected})"
+                f"parameters {wrong} are missing, extra or misshapen: inconsistent with mode {config.mode.value}"
             )
         for name, arr in params.items():
             if not np.all(np.isfinite(arr)):
@@ -81,9 +81,8 @@ class AdversarialModel:
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "AdversarialModel":
+        """Glorot-normal weights, drawn in `param_shapes` order, and zero biases."""
         rng = np.random.default_rng(seed)
-        c1, c2 = config.conv_channels
-        out = head_width(config.mode, config.n_domains)
 
         def glorot(*shape):
             fan_in = int(np.prod(shape[1:])) if len(shape) > 2 else shape[0]
@@ -91,45 +90,45 @@ class AdversarialModel:
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             return rng.normal(scale=scale, size=shape).astype(dtype)
 
-        params = {
-            "f/conv1": glorot(c1, config.in_channels, 3, 3),
-            "f/conv2": glorot(c2, c1, 3, 3),
-            "f/w": glorot(c2, FEATURE_DIM),
-            "f/b": np.zeros(FEATURE_DIM, dtype=dtype),
-            "c/w": glorot(FEATURE_DIM, config.n_classes),
-            "c/b": np.zeros(config.n_classes, dtype=dtype),
-            "d/w1": glorot(FEATURE_DIM, DISC_HIDDEN),
-            "d/b1": np.zeros(DISC_HIDDEN, dtype=dtype),
-            "d/w2": glorot(DISC_HIDDEN, out),
-            "d/b2": np.zeros(out, dtype=dtype),
-        }
-        return cls(config, params)
+        shapes = param_shapes(config)
+        return cls(config, {k: np.zeros(s, dtype=dtype) if "/b" in k else glorot(*s) for k, s in shapes.items()})
 
     def save(self, path):
-        meta = np.array(
-            [
-                list(Mode).index(self.config.mode),
-                self.config.n_classes,
-                self.config.n_domains,
-                self.config.in_channels,
-                *self.config.conv_channels,
-            ],
-            dtype=np.float64,
-        )
-        checkpoint.save_tensors(path, {"meta/config": meta, **self.params})
+        c = self.config
+        meta = [list(Mode).index(c.mode), c.n_classes, c.n_domains, c.in_channels, *c.conv_channels]
+        checkpoint.save_tensors(path, {"meta/config": np.array(meta, dtype=np.float64), **self.params})
 
     @classmethod
     def load(cls, path) -> "AdversarialModel":
         tensors = checkpoint.load_tensors(path)
-        meta = tensors.pop("meta/config")
-        config = ModelConfig(
-            n_classes=int(meta[1]),
-            n_domains=int(meta[2]),
-            mode=list(Mode)[int(meta[0])],
-            in_channels=int(meta[3]),
-            conv_channels=(int(meta[4]), int(meta[5])),
-        )
-        return cls(config, tensors)
+        meta = tensors.pop("meta/config", None)
+        if meta is None or meta.shape != (6,) or not all(float(v).is_integer() and v >= 0 for v in meta):
+            raise ContractError(f"{path}: not a model checkpoint (meta/config must hold 6 non-negative integers)")
+        mode, n_classes, n_domains, in_channels, c1, c2 = (int(v) for v in meta)
+        if mode >= len(Mode):
+            raise ContractError(f"{path}: unknown mode code {mode}")
+        try:
+            return cls(ModelConfig(n_classes, n_domains, list(Mode)[mode], in_channels, (c1, c2)), tensors)
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter of a model with `config`."""
+    c1, c2 = config.conv_channels
+    out = head_width(config.mode, config.n_domains)
+    return {
+        "f/conv1": (c1, config.in_channels, 3, 3),
+        "f/conv2": (c2, c1, 3, 3),
+        "f/w": (c2, FEATURE_DIM),
+        "f/b": (FEATURE_DIM,),
+        "c/w": (FEATURE_DIM, config.n_classes),
+        "c/b": (config.n_classes,),
+        "d/w1": (FEATURE_DIM, DISC_HIDDEN),
+        "d/b1": (DISC_HIDDEN,),
+        "d/w2": (DISC_HIDDEN, out),
+        "d/b2": (out,),
+    }
 
 
 @dataclass

@@ -13,8 +13,8 @@ mel features, so realism below that interface buys nothing.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -72,26 +72,34 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, value = {"int": numbers.Integral, "float": numbers.Real}.get(f.type), getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ContractError(f"synth config field {f.name} must be {f.type}, got {value!r}")
         if self.n_classes < 2:
             raise ContractError("need at least 2 classes")
-        if len(self.devices) < 2:
+        if not isinstance(self.devices, (list, tuple)) or len(self.devices) < 2:
             raise ContractError("need a source and at least one target device")
         if not 0.0 <= self.parallel_fraction <= 1.0:
             raise ContractError("parallel fraction must be in [0, 1]")
-        self.devices = [
-            d if isinstance(d, DeviceProfile) else DeviceProfile.from_magnitude(*d)
-            for d in self.devices
-        ]
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ContractError("test fraction must be in [0, 1)")
+        self.devices = [d if isinstance(d, DeviceProfile) else _device_profile(d) for d in self.devices]
 
     @classmethod
-    def from_json(cls, path) -> "SynthConfig":
-        payload = json.loads(Path(path).read_text())
+    def from_dict(cls, payload: dict) -> "SynthConfig":
         unknown = set(payload) - {f.name for f in fields(cls)}
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
         if unknown or missing:
             raise ContractError(f"synth config: unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
-        payload["devices"] = [tuple(d) for d in payload["devices"]]
         return cls(**payload)
+
+
+def _device_profile(pair) -> DeviceProfile:
+    is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+    if not (is_pair and isinstance(pair[1], numbers.Real) and not isinstance(pair[1], bool) and math.isfinite(pair[1])):
+        raise ContractError(f"each synth device must be an [id, magnitude] pair, got {pair!r}")
+    return DeviceProfile.from_magnitude(*pair)
 
 
 def _stable_key(text: str) -> int:

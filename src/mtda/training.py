@@ -10,12 +10,10 @@ deterministic given (config, seed, data bytes).
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,11 +74,6 @@ class TrainConfig:
     def n_source(self) -> int:
         """Source rows per batch: half, rounded half to even."""
         return int(round(self.batch_size / 2))
-
-    @classmethod
-    def from_json(cls, path, overrides=None) -> "TrainConfig":
-        payload = json.loads(Path(path).read_text())
-        return cls.from_dict(payload, overrides)
 
     @classmethod
     def from_dict(cls, payload: dict, overrides=None) -> "TrainConfig":
@@ -149,9 +142,6 @@ class ExperimentReport:
     groups: dict
     wall_time_s: float = 0.0
     loss_curve: list = field(default_factory=list)  # (step, l_y, l_d, l_total)
-
-    def to_json(self, path):
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 class Adam:
@@ -305,7 +295,7 @@ def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domain
     )
 
 
-def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=None) -> TrainResult:
+def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResult:
     start = time.monotonic()
     mode = Mode(config.mode)
     data = load_dataset(rows)
@@ -374,11 +364,6 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable, log_path=Non
             best_params = {k: v.copy() for k, v in model.params.items()}
 
     best_model = AdversarialModel(model.config, best_params)
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "L_y", "L_d", "L_total"])
-            writer.writerows(curve)
     report = ExperimentReport(per_device={}, groups={}, wall_time_s=time.monotonic() - start, loss_curve=curve)
     return TrainResult(model=best_model, report=report, best_holdout_accuracy=best_acc)
 
@@ -443,7 +428,8 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
 # embedding export
 
 
-def export_embeddings(model: AdversarialModel, rows, n_per_device, out_csv, seed=0, tsne_iters=500):
+def export_embeddings(model: AdversarialModel, rows, n_per_device, seed=0, tsne_iters=500):
+    """The t-SNE embedding of the features z of up to `n_per_device` rows per device, and those rows."""
     import warnings
 
     if n_per_device < 5:
@@ -461,13 +447,6 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, out_csv, seed
             chosen.extend(pool[i] for i in picks)
     z = np.concatenate([fwd.z.value for fwd in _inference(model, _stack_features(chosen))])
     emb = run_tsne(z, TsneConfig(iters=tsne_iters, seed=seed))
-    out_csv = Path(out_csv)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "device", "scene", "y0", "y1"])
-        for row, point in zip(chosen, emb.points):
-            writer.writerow([row.id, row.device, row.scene, f"{point[0]:.6f}", f"{point[1]:.6f}"])
     return emb, chosen
 
 

@@ -1,12 +1,13 @@
 """End-to-end tests for the ``mtda`` command line."""
 
+import csv
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtda.checkpoint import save_tensors
+from mtda.checkpoint import load_tensors, save_tensors
 from mtda.cli import main
 from mtda.geometry import DomainEntry, save_index_table
 from mtda.manifest import write_manifest
@@ -82,8 +83,29 @@ class TestDispatch:
                 "unknown keys ['colour']",
             ),
             ({"n_classes": 2, "samples_per_device_per_class": 2}, "missing keys ['devices']"),
+            (5, "must be a JSON object, got int"),
+            (
+                {"n_classes": 2, "devices": ["A", "B"], "samples_per_device_per_class": 2},
+                "each synth device must be an [id, magnitude] pair, got 'A'",
+            ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", "x"]], "samples_per_device_per_class": 2},
+                "each synth device must be an [id, magnitude] pair, got ['B', 'x']",
+            ),
+            (
+                {"n_classes": "2", "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 2},
+                "synth config field n_classes must be int, got '2'",
+            ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 4,
+                 "test_fraction": 1.5},
+                "test fraction must be in [0, 1)",
+            ),
         ],
-        ids=["unknown-key", "missing-devices"],
+        ids=[
+            "unknown-key", "missing-devices", "not-an-object", "device-not-pair", "magnitude-str", "classes-str",
+            "test-fraction",
+        ],
     )
     def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -216,9 +238,21 @@ class TestTrainEval:
             ]
         )
         assert code == 0
-        header = (ex / "embeddings.csv").read_text().splitlines()[0]
-        assert header == "id,device,scene,y0,y1"
+        lines = (ex / "embeddings.csv").read_text().splitlines()
+        assert lines[0] == "id,device,scene,y0,y1"
+        assert len(lines) - 1 == 3 * 6
 
+    def test_train_log_has_one_row_per_step(self, small_dataset, train_inputs, tmp_path):
+        _, rows = small_dataset
+        manifest, index, config = train_inputs
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(run)]) == 0
+        with open(run / "train_log.csv", newline="") as fh:
+            log = list(csv.reader(fh))
+        assert log[0] == ["step", "L_y", "L_d", "L_total"]
+        curve = train(TrainConfig.from_dict(FAST_TRAIN), rows, INDEX_TABLE).report.loss_curve
+        assert [[int(r[0]), *map(float, r[1:])] for r in log[1:]] == [list(step) for step in curve]
 
     def test_index_table_recorded_in_run_json_not_reports(self, train_inputs, tmp_path):
         manifest, index, config = train_inputs
@@ -264,6 +298,23 @@ class TestSweepCommand:
         assert summary["best_lambda_d"] in (0.5, 1.0)
         assert (out / "sweep.csv").exists()
         assert (out / "report_lambda_0.5.json").exists()
+
+    def test_every_value_failing_exits_one(self, train_inputs, tmp_path, capsys):
+        manifest, index, _ = train_inputs
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**FAST_TRAIN, "lambda_grid": [0.5, 1.0]}))
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({**json.loads(index.read_text()), "A": {"distance": 0.0, "index": 1},
+                                       "B": {"distance": 0.5, "index": 0}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--manifest", str(manifest), "--index", str(swapped),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no lambda_d value trained; at 0.5: index table must number" in err and "Traceback" not in err
+        summary = json.loads((out / "sweep.json").read_text())
+        assert summary["best_lambda_d"] is None and all(r["error"] for r in summary["results"])
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        assert not (out / "run.json").exists()
 
 
 def _test_only_device(rows, tmp_path):
@@ -442,3 +493,29 @@ class TestMalformedTrainInputs:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert not (out / "checkpoint.mtda").exists()
+
+
+
+class TestMalformedCheckpoints:
+    """A file that is not a checkpoint of the model its meta/config describes exits 1, naming the file."""
+
+    @pytest.mark.parametrize(
+        "mutate, expect",
+        [
+            (None, "not a model checkpoint"),  # a feature file
+            (lambda t: {**t, "meta/config": t["meta/config"][:4]}, "not a model checkpoint"),
+            (lambda t: {**t, "meta/config": np.r_[7.0, t["meta/config"][1:]]}, "unknown mode code 7"),
+            (lambda t: {k: v for k, v in t.items() if k != "c/w"}, "parameters ['c/w'] are missing"),
+        ],
+        ids=["feature-file", "meta-of-4", "mode-code-7", "no-classifier-weights"],
+    )
+    def test_eval_exits_one(self, mutate, expect, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys):
+        _, rows = small_dataset
+        manifest, _, _ = train_inputs
+        bad = rows[0].feature_path
+        if mutate is not None:
+            bad = tmp_path / "bad.mtda"
+            save_tensors(bad, mutate(load_tensors(checkpoint_path)))
+        assert main(["eval", "--checkpoint", str(bad), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {expect}" in err and "Traceback" not in err

@@ -1,6 +1,5 @@
 """Tests for the training harness, evaluation, sweeps, and exports."""
 
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -183,15 +182,6 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(TrainConfig(**FAST), targets_only, INDEX_TABLE)
 
-    def test_log_file_written(self, small_dataset, tmp_path):
-        _, rows = small_dataset
-        cfg = TrainConfig(mode="mtda-r", seed=2, **FAST)
-        train(cfg, rows, INDEX_TABLE, log_path=tmp_path / "log.csv")
-        with open(tmp_path / "log.csv") as fh:
-            reader = list(csv.reader(fh))
-        assert reader[0] == ["step", "L_y", "L_d", "L_total"]
-        assert len(reader) > 1
-
 
 class TestEvaluate:
     def test_perfect_and_prevalence_predictors(self, small_dataset):
@@ -251,31 +241,28 @@ class TestEvaluateClasses:
 
 
 class TestExportEmbeddings:
-    def test_csv_format_and_row_count(self, small_dataset, tmp_path):
+    def test_one_point_per_chosen_row(self, small_dataset):
         _, rows = small_dataset
         cfg = TrainConfig(mode="mtda-c2", seed=6, **FAST)
         result = train(cfg, rows, INDEX_TABLE)
-        out = tmp_path / "emb.csv"
-        export_embeddings(result.model, rows, n_per_device=6, out_csv=out, tsne_iters=60)
-        with open(out) as fh:
-            reader = list(csv.reader(fh))
-        assert reader[0] == ["id", "device", "scene", "y0", "y1"]
-        assert len(reader) - 1 == 3 * 6
+        emb, chosen = export_embeddings(result.model, rows, n_per_device=6, tsne_iters=60)
+        assert len(chosen) == 3 * 6
+        assert emb.points.shape == (3 * 6, 2)
 
-    def test_scarce_device_uses_all_and_warns(self, small_dataset, tmp_path):
+    def test_scarce_device_uses_all_and_warns(self, small_dataset):
         _, rows = small_dataset
         cfg = TrainConfig(mode="dann", seed=6, **FAST)
         result = train(cfg, rows, INDEX_TABLE)
         few = [r for r in rows if r.device != "C"] + [r for r in rows if r.device == "C"][:5]
         with pytest.warns(RuntimeWarning, match="only 5 rows"):
-            export_embeddings(result.model, few, n_per_device=6, out_csv=tmp_path / "e.csv", tsne_iters=60)
+            export_embeddings(result.model, few, n_per_device=6, tsne_iters=60)
 
-    def test_n_per_device_minimum(self, small_dataset, tmp_path):
+    def test_n_per_device_minimum(self, small_dataset):
         _, rows = small_dataset
         cfg = TrainConfig(mode="dann", seed=6, **FAST)
         result = train(cfg, rows, INDEX_TABLE)
         with pytest.raises(ContractError):
-            export_embeddings(result.model, rows, n_per_device=4, out_csv=tmp_path / "e.csv")
+            export_embeddings(result.model, rows, n_per_device=4)
 
 
 class TestSweep:
