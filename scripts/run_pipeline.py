@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthesize a dataset, compute domain indices, train one
-model per mode, evaluate, re-evaluate one saved checkpoint, and export its
-t-SNE embedding. Everything goes through the `mtda` CLI so this
-doubles as a smoke test of the command surface.
+model per mode, evaluate, re-evaluate one saved checkpoint, run a short
+two-value lambda sweep, and export the checkpoint's t-SNE embedding.
+Everything goes through the `mtda` CLI so this doubles as a smoke test of
+the command surface.
 
 Usage: python scripts/run_pipeline.py [workdir]
 """
@@ -73,6 +74,15 @@ def main():
         "--manifest", str(data / "manifest.csv"),
         "--config", str(train_cfg),
         "--out", str(WORK / "eval"),
+    )
+    cli(
+        "sweep",
+        "--config", str(train_cfg),
+        "--manifest", str(data / "manifest.csv"),
+        "--index", str(WORK / "index" / "index.json"),
+        "--out", str(WORK / "sweep"),
+        "--override", "lambda_grid=0.5,2",
+        "--override", "epochs=3",
     )
     cli(
         "export-embeddings",

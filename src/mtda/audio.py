@@ -46,24 +46,24 @@ class FeatureTensor:
     frames: np.ndarray  # time x 64
 
 
-def resample(clip: AudioClip, target_hz: int = TARGET_RATE) -> AudioClip:
-    """Resample to `target_hz` and fix the duration to exactly 10 s."""
-    if clip.sample_rate == target_hz:
+def resample(clip: AudioClip) -> AudioClip:
+    """Resample to 32 kHz and fix the duration to exactly 10 s."""
+    if clip.sample_rate == TARGET_RATE:
         samples = clip.samples
     else:
         from fractions import Fraction
 
-        ratio = Fraction(target_hz, clip.sample_rate).limit_denominator(1000)
+        ratio = Fraction(TARGET_RATE, clip.sample_rate).limit_denominator(1000)
         samples = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
     if len(samples) >= CLIP_SAMPLES:
         samples = samples[:CLIP_SAMPLES]
     else:
         samples = np.concatenate([samples, np.zeros(CLIP_SAMPLES - len(samples))])
-    return AudioClip(samples=samples, sample_rate=target_hz)
+    return AudioClip(samples=samples, sample_rate=TARGET_RATE)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = WINDOW, rate: int = TARGET_RATE) -> np.ndarray:
-    """Slaney-style triangular filters (linear below 1 kHz, log above), 0 to rate/2."""
+def mel_filterbank() -> np.ndarray:
+    """Slaney-style triangular filters (linear below 1 kHz, log above), 0 to 16 kHz."""
 
     def hz_to_mel(f):
         f = np.asarray(f, dtype=np.float64)
@@ -79,10 +79,10 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = WINDOW, rate: int = TARGET
         log_hz = 1000.0 * np.exp((m - 15.0) * (np.log(6.4) / 27.0))
         return np.where(log_region, log_hz, lin)
 
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2), n_mels + 2))
-    fft_freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
-    fb = np.zeros((n_mels, len(fft_freqs)))
-    for m in range(n_mels):
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2), N_MELS + 2))
+    fft_freqs = np.fft.rfftfreq(WINDOW, d=1.0 / TARGET_RATE)
+    fb = np.zeros((N_MELS, len(fft_freqs)))
+    for m in range(N_MELS):
         lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
         up = (fft_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - fft_freqs) / max(hi - center, 1e-12)
@@ -90,10 +90,9 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = WINDOW, rate: int = TARGET
     return fb
 
 
-def band_center_freqs(n_mels: int = N_MELS, rate: int = TARGET_RATE) -> np.ndarray:
-    fb = mel_filterbank(n_mels=n_mels, rate=rate)
-    fft_freqs = np.fft.rfftfreq(WINDOW, d=1.0 / rate)
-    return np.array([fft_freqs[np.argmax(row)] for row in fb])
+def band_center_freqs() -> np.ndarray:
+    fft_freqs = np.fft.rfftfreq(WINDOW, d=1.0 / TARGET_RATE)
+    return np.array([fft_freqs[np.argmax(row)] for row in mel_filterbank()])
 
 
 def logmel(clip: AudioClip) -> FeatureTensor:

@@ -78,6 +78,8 @@ class SynthConfig:
                 raise ContractError(f"synth config field {f.name} must be {f.type}, got {value!r}")
         if self.n_classes < 2:
             raise ContractError("need at least 2 classes")
+        if self.samples_per_device_per_class < 1:
+            raise ContractError("samples_per_device_per_class must be >= 1")
         if not isinstance(self.devices, (list, tuple)) or len(self.devices) < 2:
             raise ContractError("need a source and at least one target device")
         if not 0.0 <= self.parallel_fraction <= 1.0:
@@ -85,6 +87,9 @@ class SynthConfig:
         if not 0.0 <= self.test_fraction < 1.0:
             raise ContractError("test fraction must be in [0, 1)")
         self.devices = [d if isinstance(d, DeviceProfile) else _device_profile(d) for d in self.devices]
+        ids = [d.device_id for d in self.devices]
+        if len(set(ids)) != len(ids):
+            raise ContractError(f"device ids must be unique (they key row ids and feature files), got {ids}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthConfig":

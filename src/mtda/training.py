@@ -69,6 +69,8 @@ class TrainConfig:
             raise ContractError("lambda_d must be >= 0")
         if self.batch_size < 2:
             raise ContractError("batch_size must be >= 2")
+        if self.epochs < 1:
+            raise ContractError("epochs must be >= 1")
 
     @property
     def n_source(self) -> int:
@@ -176,9 +178,8 @@ class LoadedDataset:
     features: np.ndarray  # aligned with rows, (n, h, w)
     classes: list  # scenes of the labeled train rows: the model's outputs, in order
     devices: list
-
-    def class_onehot(self, scene):
-        return np.eye(len(self.classes))[self.classes.index(scene)]
+    labels: np.ndarray  # each row's position in classes; -1 for no scene or one outside them
+    row_devices: np.ndarray  # each row's device
 
 
 def load_dataset(rows, split="train") -> LoadedDataset:
@@ -191,11 +192,14 @@ def load_dataset(rows, split="train") -> LoadedDataset:
     rows = [r for r in rows if r.split == split and r.feature_path]
     if not rows:
         raise ContractError(f"manifest has no {split} rows with extracted features")
+    position = {scene: k for k, scene in enumerate(classes)}
     return LoadedDataset(
         rows=rows,
         features=_stack_features(rows),
         classes=classes,
         devices=sorted({r.device for r in rows}),
+        labels=np.array([position.get(r.scene, -1) for r in rows]),
+        row_devices=np.array([r.device for r in rows]),
     )
 
 
@@ -228,7 +232,7 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
     rng = np.random.default_rng(seed)
     keep = []
     for device in data.devices:
-        idx = [i for i, r in enumerate(data.rows) if r.device == device]
+        idx = np.flatnonzero(data.row_devices == device)
         # parallel rows must survive subsampling; they carry the signal
         parallel = [i for i in idx if data.rows[i].parallel_group]
         rest = [i for i in idx if not data.rows[i].parallel_group]
@@ -268,28 +272,20 @@ class TrainResult:
     best_holdout_accuracy: float
 
 
-def _make_batch(data, config, index_table, src_idx, tgt_by_device, rng, n_domains):
+def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
+    """`u_row` is each row's domain index; `tgt_pools` holds each target device's rows."""
     n_src = config.n_source
-    n_tgt = config.batch_size - n_src
     chosen_src = rng.choice(src_idx, size=n_src, replace=len(src_idx) < n_src)
-    target_devices = sorted(tgt_by_device)
     chosen_tgt = []
-    for _ in range(n_tgt):
-        dev = target_devices[rng.integers(len(target_devices))]
-        pool = tgt_by_device[dev]
+    for _ in range(config.batch_size - n_src):
+        pool = tgt_pools[rng.integers(len(tgt_pools))]
         chosen_tgt.append(pool[rng.integers(len(pool))])
     idx = np.concatenate([chosen_src, np.asarray(chosen_tgt, dtype=int)])
-    u = np.array([index_table[data.rows[i].device].index for i in idx])
-    y = np.zeros((len(idx), len(data.classes)))
-    for pos, i in enumerate(idx):
-        if u[pos] == 0:
-            y[pos] = data.class_onehot(data.rows[i].scene)
-        else:
-            y[pos, 0] = 1.0  # placeholder; masked out of the scene loss
+    u = u_row[idx]
     return Batch(
         x=data.features[idx].astype(np.float32),
-        y_onehot=y,
-        d_onehot=np.eye(n_domains)[u],
+        y_onehot=np.eye(len(data.classes))[np.where(u == 0, data.labels[idx], 0)],  # scene_loss masks target rows
+        d_onehot=np.eye(len(data.devices))[u],
         u=u,
         source_mask=u == 0,
     )
@@ -313,17 +309,13 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     unlabeled = [r.id for r in data.rows if r.device == source_device and not r.scene]
     if unlabeled:
         raise ContractError(f"{len(unlabeled)} source train rows have no scene label: {unlabeled[:3]}")
-
-    src_all = [i for i, r in enumerate(data.rows) if r.device == source_device]
-    tgt_by_device = {}
-    for i, r in enumerate(data.rows):
-        if r.device != source_device:
-            tgt_by_device.setdefault(r.device, []).append(i)
-    if not src_all or not tgt_by_device:
+    if n_domains < 2:
         raise ContractError("need at least one source row and one target domain")
 
+    u_row = np.array([indices[r.device] for r in data.rows])
+    src_all = np.flatnonzero(u_row == 0)
+    tgt_pools = [np.flatnonzero(data.row_devices == d) for d in data.devices if d != source_device]
     rng = np.random.default_rng(config.seed)
-    src_all = np.array(src_all)
     rng.shuffle(src_all)
     n_holdout = max(1, int(round(config.holdout_fraction * len(src_all))))
     holdout_idx, src_train = src_all[:n_holdout], src_all[n_holdout:]
@@ -347,7 +339,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     step = 0
     for _epoch in range(config.epochs):
         for _ in range(steps_per_epoch):
-            batch = _make_batch(data, config, index_table, src_train, tgt_by_device, rng, n_domains)
+            batch = _make_batch(data, config, u_row, src_train, tgt_pools, rng)
             fwd = forward(model, batch.x, lambda_d=config.lambda_d)
             l_y = scene_loss(fwd.y_logits, batch.y_onehot, batch.source_mask)
             l_d = domain_loss_for_mode(mode, fwd, batch, t=config.t, normalize_index=config.normalize_index)
@@ -369,11 +361,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
 
 
 def _accuracy(model, data, idx):
-    if len(idx) == 0:
-        return 0.0
-    preds = predict(model, data.features[idx])
-    truth = np.array([data.classes.index(data.rows[i].scene) for i in idx])
-    return float((preds == truth).mean())
+    return float((predict(model, data.features[idx]) == data.labels[idx]).mean())
 
 
 def _inference(model, x, batch_size=64):
@@ -405,14 +393,12 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
     if unknown:
         raise ContractError(f"test scenes not among the train classes: {unknown}")
     preds = predict(model, data.features)
-    truth = np.array([data.classes.index(r.scene) for r in data.rows])
-    row_devices = np.array([r.device for r in data.rows])
 
     per_device = {}
     for device in data.devices:
-        sel = row_devices == device
+        sel = data.row_devices == device
         per_device[device] = {
-            "accuracy": float((preds[sel] == truth[sel]).mean()),
+            "accuracy": float((preds[sel] == data.labels[sel]).mean()),
             "count": int(sel.sum()),
         }
     groups = {}
@@ -458,21 +444,16 @@ def sweep(config: TrainConfig, rows, index_table):
     """One train+evaluate per grid value; failures are recorded, not fatal.
 
     Best lambda maximizes mean target-device accuracy, ties to the smaller
-    lambda.
+    lambda. Targets are the devices the index table does not put at 0.
     """
-    try:
-        source_device = _source_device([r for r in rows if r.split == "train" and r.feature_path])
-    except ContractError:
-        source_device = None  # every train() below fails on the same rows and records why
+    sources = {d for d, entry in index_table.items() if entry.index == 0}
     results = []
     for lam in config.lambda_grid:
         run_cfg = replace(config, lambda_d=float(lam))
         try:
             outcome = train(run_cfg, rows, index_table)
             report = evaluate(outcome.model, rows, device_groups=config.device_groups)
-            target_accs = [
-                v["accuracy"] for d, v in report.per_device.items() if d != source_device
-            ]
+            target_accs = [v["accuracy"] for d, v in report.per_device.items() if d not in sources]
             score = float(np.mean(target_accs)) if target_accs else 0.0
             results.append({"lambda_d": float(lam), "score": score, "report": report, "error": None})
         except (ContractError, NumericError) as exc:

@@ -155,6 +155,8 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     if n < 5:
         raise ContractError("need at least 5 points for t-SNE")
     cfg = cfg or TsneConfig()
+    if cfg.iters < 1:
+        raise ContractError(f"t-SNE needs at least 1 iteration, got {cfg.iters}")
     perplexity = cfg.perplexity if cfg.perplexity is not None else min(30.0, n / 4.0)
     perplexity = max(2.0, min(perplexity, n - 1))
 

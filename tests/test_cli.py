@@ -101,10 +101,18 @@ class TestDispatch:
                  "test_fraction": 1.5},
                 "test fraction must be in [0, 1)",
             ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["A", 1.0]], "samples_per_device_per_class": 2},
+                "device ids must be unique (they key row ids and feature files), got ['A', 'A']",
+            ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 0},
+                "samples_per_device_per_class must be >= 1",
+            ),
         ],
         ids=[
             "unknown-key", "missing-devices", "not-an-object", "device-not-pair", "magnitude-str", "classes-str",
-            "test-fraction",
+            "test-fraction", "duplicate-device", "no-samples",
         ],
     )
     def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):
@@ -275,6 +283,15 @@ class TestIndexCommand:
         table = json.loads((out / "index.json").read_text())
         assert table["A"]["index"] == 0
         assert set(table) == {"A", "B", "C"}
+
+    def test_zero_tsne_iters_exits_one(self, train_inputs, tmp_path, capsys):
+        # zero steps would report distances read off the random initial layout
+        manifest, _, _ = train_inputs
+        out = tmp_path / "idx"
+        assert main(["index", "--manifest", str(manifest), "--out", str(out), "--tsne-iters", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "t-SNE needs at least 1 iteration, got 0" in err and "Traceback" not in err
+        assert not (out / "index.json").exists()
 
 
 class TestSweepCommand:
@@ -455,8 +472,12 @@ class TestMalformedTrainInputs:
             ({}, ["conv_channels=2.5,4"], "override conv_channels='2.5,4' is not a list of int"),
             ({"lambda_d": "1.0"}, [], "lambda_d must be float, got '1.0'"),
             ({"epochs": "1"}, [], "epochs must be int, got '1'"),
+            ({"epochs": 0}, [], "epochs must be >= 1"),
         ],
-        ids=["bool-yes", "groups-string", "groups-not-lists", "channels-float", "file-lambda-str", "file-epochs-str"],
+        ids=[
+            "bool-yes", "groups-string", "groups-not-lists", "channels-float", "file-lambda-str", "file-epochs-str",
+            "epochs-zero",
+        ],
     )
     def test_mistyped_config(self, payload, overrides, expect, train_inputs, tmp_path, capsys):
         manifest, index, _ = train_inputs

@@ -66,6 +66,27 @@ class TestTrainConfig:
             TrainConfig.from_dict({}, overrides={"lambda": "1"})
 
 
+class TestLoadDataset:
+    def test_rows_encoded_against_train_classes(self, small_dataset):
+        _, rows = small_dataset
+        data = load_dataset(rows)
+        assert data.classes == ["scene0", "scene1", "scene2"]
+        assert data.row_devices.tolist() == [r.device for r in data.rows]
+        for row, label in zip(data.rows, data.labels):
+            if row.device == "A":
+                assert label == data.classes.index(row.scene)
+            else:  # unlabeled target row
+                assert row.scene == "" and label == -1
+        # test labels stay keyed on the train classes: with scene0 renamed, a
+        # test-keyed encoding would move scene1 to 0
+        renamed = [replace(r, scene="sceneZ") if r.split == "test" and r.scene == "scene0" else r for r in rows]
+        test = load_dataset(renamed, "test")
+        assert test.classes == data.classes
+        assert test.labels.tolist() == [{"scene1": 1, "scene2": 2}.get(r.scene, -1) for r in test.rows]
+        assert {r.scene for r, label in zip(test.rows, test.labels) if label == -1} == {"sceneZ"}
+        assert test.row_devices.tolist() == [r.device for r in test.rows]
+
+
 class TestAdam:
     def test_converges_on_quadratic(self):
         params = {"w": np.array([5.0, -3.0])}
@@ -112,7 +133,7 @@ class TestTrain:
         y = np.zeros((8, 3))
         for pos, i in enumerate(idx):
             if u[pos] == 0:
-                y[pos] = data.class_onehot(data.rows[i].scene)
+                y[pos] = np.eye(3)[data.labels[i]]
             else:
                 y[pos, 0] = 1.0
         mask = u == 0
@@ -146,7 +167,7 @@ class TestTrain:
         u = np.array([INDEX_TABLE[data.rows[i].device].index for i in idx])
         y = np.zeros((6, 3))
         for pos, i in enumerate(idx):
-            y[pos] = data.class_onehot(data.rows[i].scene) if u[pos] == 0 else np.eye(3)[0]
+            y[pos] = np.eye(3)[data.labels[i]] if u[pos] == 0 else np.eye(3)[0]
         fwd = forward(model, data.features[idx], lambda_d=1.0)
         ad.backward(scene_loss(fwd.y_logits, y, u == 0))
         grads_full = {k: fwd.leaves[k].grad.copy() for k in ("c/w", "c/b")}

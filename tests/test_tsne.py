@@ -174,6 +174,13 @@ class TestRunTsne:
         with pytest.raises(ContractError):
             run_tsne(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_needs_an_iteration(self, iters):
+        # with no step the result would be the random initial layout
+        x = np.random.default_rng(0).normal(size=(10, 3))
+        with pytest.raises(ContractError, match=f"at least 1 iteration, got {iters}"):
+            run_tsne(x, TsneConfig(iters=iters))
+
 
 def _knn_agreement(points, labels, k):
     d = ((points[:, None] - points[None, :]) ** 2).sum(-1)
