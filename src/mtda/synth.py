@@ -86,6 +86,11 @@ class SynthConfig:
             raise ContractError("parallel fraction must be in [0, 1]")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ContractError("test fraction must be in [0, 1)")
+        n = self.samples_per_device_per_class
+        if math.ceil(self.test_fraction * n) >= n:  # make_dataset's split
+            raise ContractError(
+                f"test fraction {self.test_fraction} of {n} samples per device and class leaves no train sample"
+            )
         self.devices = [d if isinstance(d, DeviceProfile) else _device_profile(d) for d in self.devices]
         ids = [d.device_id for d in self.devices]
         if len(set(ids)) != len(ids):

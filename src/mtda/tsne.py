@@ -98,11 +98,21 @@ def perplexity_calibrate(sq_distances_row, perplexity):
 
 
 def pairwise_sq_distances(x):
+    """|x_i - x_j|^2 as (sq_i + sq_j) - 2 x_i.x_j, clamped at 0, zero diagonal.
+
+    Built in two n x n buffers in that operation order, so the result is bit
+    for bit the dense expression's; the Gram matrix stays `x @ x.T`, which
+    numpy hands to BLAS.
+    """
     x = np.asarray(x, dtype=np.float64)
     sq = (x**2).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    g = x @ x.T
+    g *= 2.0
+    d = np.add(sq[:, None], sq[None, :])
+    d -= g
     np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+    np.maximum(d, 0.0, out=d)
+    return d
 
 
 def affinities(x, perplexity):
@@ -121,11 +131,13 @@ def affinities(x, perplexity):
 
 def _student_t_q(y):
     """Normalized Student-t similarities and the unnormalized kernel."""
-    d = pairwise_sq_distances(y)
-    num = 1.0 / (1.0 + d)
+    num = pairwise_sq_distances(y)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
     q = num / num.sum()
-    return np.maximum(q, 1e-12), num
+    np.maximum(q, 1e-12, out=q)
+    return q, num
 
 
 def kl_divergence(p, y):
@@ -135,11 +147,23 @@ def kl_divergence(p, y):
 
 
 def kl_gradient(p, y):
-    """dKL/dY for fixed P; the standard 4 * sum (p-q) num (y_i - y_j) form."""
+    """dKL/dY for fixed P; the standard 4 * sum (p-q) num (y_i - y_j) form.
+
+    Computed as 4 * ((diag(rowsum(w)) - w) @ y) with w = (p - q) * num, in
+    place in q's buffer. w's diagonal is exactly zero (num's is), so that
+    matrix is 0 - w with the row sums on its diagonal, bit for bit. The
+    `rowsum * y - w @ y` form is cheaper but rounds differently, and the
+    descent amplifies that into different embeddings.
+    """
     y = np.asarray(y, dtype=np.float64)
-    q, num = _student_t_q(y)
-    w = (p - q) * num
-    grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+    w, num = _student_t_q(y)
+    np.subtract(p, w, out=w)
+    w *= num
+    rows = w.sum(axis=1)
+    np.subtract(0.0, w, out=w)
+    np.fill_diagonal(w, rows)
+    grad = w @ y
+    grad *= 4.0
     return grad
 
 
@@ -173,8 +197,10 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     # Short runs shrink the early phase proportionally; exaggeration must
     # end well before the run does or the final KL reflects the wrong target.
     early = min(_EARLY_ITERS, cfg.iters // 4)
+    p_eff = p * cfg.exaggeration
     for it in range(cfg.iters):
-        p_eff = p * cfg.exaggeration if it < early else p
+        if it == early:
+            p_eff = p  # drops the scaled copy
         grad = kl_gradient(p_eff, y)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")

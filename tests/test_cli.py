@@ -109,10 +109,14 @@ class TestDispatch:
                 {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 0},
                 "samples_per_device_per_class must be >= 1",
             ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 1},
+                "test fraction 0.25 of 1 samples per device and class leaves no train sample",
+            ),
         ],
         ids=[
             "unknown-key", "missing-devices", "not-an-object", "device-not-pair", "magnitude-str", "classes-str",
-            "test-fraction", "duplicate-device", "no-samples",
+            "test-fraction", "duplicate-device", "no-samples", "no-train-sample",
         ],
     )
     def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):

@@ -127,6 +127,54 @@ class TestGradient:
         assert_grads_close(analytic, numeric, rtol=1e-4)
 
 
+def _dense_sq_distances(x):
+    sq = (x**2).sum(axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d, 0.0)
+    return np.maximum(d, 0.0)
+
+
+def _dense_q(y):
+    num = 1.0 / (1.0 + _dense_sq_distances(y))
+    np.fill_diagonal(num, 0.0)
+    return np.maximum(num / num.sum(), 1e-12), num
+
+
+def _dense_kl_divergence(p, y):
+    q, _ = _dense_q(y)
+    nz = p > 0
+    return float((p[nz] * np.log(p[nz] / q[nz])).sum())
+
+
+def _dense_kl_gradient(p, y):
+    q, num = _dense_q(y)
+    w = (p - q) * num
+    return 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+
+
+class TestKernelsMatchDenseReference:
+    """The in-place kernels give the dense expressions' bits: index.json and
+    embeddings.csv are byte-compared, and t-SNE's descent turns any rounding
+    change into a different layout."""
+
+    @pytest.mark.parametrize("n", [7, 50, 300])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
+    @pytest.mark.parametrize("exaggeration", [1.0, 4.0])
+    def test_bitwise(self, n, scale, exaggeration):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 5))
+        p = exaggeration * affinities(x, max(2.0, min(30.0, n / 4.0)))
+        y = rng.normal(scale=scale, size=(n, 2))
+        assert pairwise_sq_distances(y).tobytes() == _dense_sq_distances(y).tobytes()
+        assert np.float64(kl_divergence(p, y)).tobytes() == np.float64(_dense_kl_divergence(p, y)).tobytes()
+        assert kl_gradient(p, y).tobytes() == _dense_kl_gradient(p, y).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
+    def test_distances_of_feature_vectors_bitwise(self, scale):
+        x = np.random.default_rng(8).normal(scale=scale, size=(120, 64))  # the affinities input
+        assert pairwise_sq_distances(x).tobytes() == _dense_sq_distances(x).tobytes()
+
+
 class TestRunTsne:
     def test_kl_decreases(self):
         rng = np.random.default_rng(1)
@@ -169,6 +217,16 @@ class TestRunTsne:
         permuted = run_tsne(x[perm], cfg, init=init[perm])
         scale = np.abs(base.points).max()
         np.testing.assert_allclose(permuted.points, base.points[perm], atol=1e-9 * scale)
+
+    def test_exaggeration_ends_with_the_early_phase(self):
+        x = np.random.default_rng(4).normal(size=(12, 4))
+
+        def points(iters, exaggeration):
+            return run_tsne(x, TsneConfig(iters=iters, exaggeration=exaggeration, seed=1)).points.tobytes()
+
+        # iters // 4 is 0 at 3 iterations, so no step sees the exaggerated P
+        assert points(3, 12.0) == points(3, 1.0)
+        assert points(8, 12.0) != points(8, 1.0)
 
     def test_too_few_points(self):
         with pytest.raises(ContractError):
