@@ -10,7 +10,9 @@ The conv is a shifted-slice GEMM: the 9 shifted slices of the zero-padded
 input form a column matrix that one matmul with the flattened kernel turns
 into the output. Backward rebuilds the columns (they are not kept in the
 graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
-Pooling sums four strided slices.
+Pooling sums four strided slices. `conv_relu_pool` runs a model block (conv,
+relu, pool) as one node with the same bits: relu works in place and only the
+pooled value enters the graph, sparing two full-size activations and copies.
 
 All values are numpy arrays; float64 is used in tests (finite-difference
 tolerances require it), float32 is fine for training. Everything is
@@ -159,37 +161,41 @@ def _columns(x):
     return cols.reshape(n, c * 9, h * w)
 
 
+def _conv(x, k, op):
+    """Shape-check a 3x3 conv of Tensors x, k and return its (n, f, h, w) value."""
+    if x.value.ndim != 4 or k.value.ndim != 4:
+        raise ShapeError(f"{op} expects rank-4 input and kernel", x.shape, k.shape)
+    if k.shape[2:] != (3, 3):
+        raise ShapeError(f"{op} kernel must be 3x3", k.shape)
+    if x.shape[1] != k.shape[1]:
+        raise ShapeError(f"{op} channel mismatch", x.shape, k.shape)
+    n, c, h, w = x.shape
+    return (k.value.reshape(k.shape[0], c * 9) @ _columns(x.value)).reshape(n, k.shape[0], h, w)
+
+
+def _conv_backward(x, k, g):
+    """Accumulate dK and dx (each only if needed) of the conv of x and k from
+    its output adjoint g. The columns are rebuilt: held in the closure they
+    would cost 9x the input's memory per conv until the backward sweep ends."""
+    (n, c, h, w), f = x.shape, k.shape[0]
+    g2 = g.reshape(n, f, h * w)
+    if k.requires_grad:
+        dk = (g2 @ _columns(x.value).transpose(0, 2, 1)).sum(axis=0)
+        _accum(k, dk.reshape(k.shape))
+    if x.requires_grad:
+        # col2im: each column row adds back onto the slice it came from.
+        dcols = (k.value.reshape(f, c * 9).T @ g2).reshape(n, c, 3, 3, h, w)
+        dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+        for p in range(3):
+            for q in range(3):
+                dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
+        _accum(x, dxp[:, :, 1:-1, 1:-1])
+
+
 def conv2d(x, k):
     """3x3 cross-correlation, stride 1, zero padding 1; same spatial dims."""
     x, k = _as_tensor(x), _as_tensor(k)
-    if x.value.ndim != 4 or k.value.ndim != 4:
-        raise ShapeError("conv2d expects rank-4 input and kernel", x.shape, k.shape)
-    if k.shape[2:] != (3, 3):
-        raise ShapeError("conv2d kernel must be 3x3", k.shape)
-    if x.shape[1] != k.shape[1]:
-        raise ShapeError("conv2d channel mismatch", x.shape, k.shape)
-    n, c, h, w = x.shape
-    f = k.shape[0]
-    k2 = k.value.reshape(f, c * 9)
-    out_val = (k2 @ _columns(x.value)).reshape(n, f, h, w)
-
-    def backward(g):
-        # Rebuilt, not kept in the closure: held columns would cost 9x the
-        # input's memory per conv node until the backward sweep ends.
-        g2 = g.reshape(n, f, h * w)
-        if k.requires_grad:
-            dk = (g2 @ _columns(x.value).transpose(0, 2, 1)).sum(axis=0)
-            _accum(k, dk.reshape(k.shape))
-        if x.requires_grad:
-            # col2im: each column row adds back onto the slice it came from.
-            dcols = (k2.T @ g2).reshape(n, c, 3, 3, h, w)
-            dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
-            for p in range(3):
-                for q in range(3):
-                    dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
-            _accum(x, dxp[:, :, 1:-1, 1:-1])
-
-    return _node(out_val, (x, k), backward, name="conv2d")
+    return _node(_conv(x, k, "conv2d"), (x, k), lambda g: _conv_backward(x, k, g), name="conv2d")
 
 
 def relu(x):
@@ -202,24 +208,48 @@ def relu(x):
     return _node(np.where(mask, x.value, 0.0), (x,), backward, name="relu")
 
 
+def _quadrants(v):
+    """The four strided (rows, cols) slices of 2x2 pooling; odd trailing rows/cols are dropped."""
+    h, w = v.shape[2:]
+    return [(slice(i, 2 * (h // 2), 2), slice(j, 2 * (w // 2), 2)) for i in (0, 1) for j in (0, 1)]
+
+
+def _pool(v):
+    q00, q01, q10, q11 = (v[:, :, r, q] for r, q in _quadrants(v))
+    return 0.25 * (q00 + q01 + q10 + q11)
+
+
+def _unpool(g, like):
+    dx = np.zeros_like(like, dtype=g.dtype)
+    quarter = 0.25 * g
+    for r, q in _quadrants(like):
+        dx[:, :, r, q] = quarter
+    return dx
+
+
 def avg_pool2(x):
     """2x2 average pooling, stride 2; odd trailing rows/cols are dropped."""
     x = _as_tensor(x)
     if x.value.ndim != 4:
         raise ShapeError("avg_pool2 expects rank-4 input", x.shape)
-    h, w = x.shape[2:]
-    quads = [(slice(i, 2 * (h // 2), 2), slice(j, 2 * (w // 2), 2)) for i in (0, 1) for j in (0, 1)]
-    q00, q01, q10, q11 = (x.value[:, :, r, q] for r, q in quads)
-    out_val = 0.25 * (q00 + q01 + q10 + q11)
+    return _node(_pool(x.value), (x,), lambda g: _accum(x, _unpool(g, x.value)), name="avg_pool2")
+
+
+def conv_relu_pool(x, k):
+    """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit; backward keeps only the relu mask."""
+    x, k = _as_tensor(x), _as_tensor(k)
+    act = _conv(x, k, "conv_relu_pool")
+    if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
+        raise NumericError("non-finite values in tensor conv_relu_pool")
+    mask = act > 0
+    np.copyto(act, 0.0, where=~mask)  # +0.0, exactly as relu's np.where writes
 
     def backward(g):
-        dx = np.zeros_like(x.value)
-        quarter = 0.25 * g
-        for r, q in quads:
-            dx[:, :, r, q] = quarter
-        _accum(x, dx)
+        dact = _unpool(g, mask)
+        dact *= mask
+        _conv_backward(x, k, dact)
 
-    return _node(out_val, (x,), backward, name="avg_pool2")
+    return _node(_pool(act), (x, k), backward, name="conv_relu_pool")
 
 
 def global_avg_pool(x):

@@ -148,10 +148,12 @@ def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> Fo
         x = x[:, None, :, :]
     if x.ndim != 4 or x.shape[1] != model.config.in_channels:
         raise ShapeError("input must be (n, c, h, w) with matching channels", x.shape)
+    if min(x.shape[2:]) < 4:
+        raise ShapeError("feature height and width must be at least 4 (two 2x2 pools)", x.shape)
     leaves = {name: ad.Tensor(arr, requires_grad=True, name=name) for name, arr in model.params.items()}
 
-    h = ad.avg_pool2(ad.relu(ad.conv2d(ad.Tensor(x, name="x"), leaves["f/conv1"])))
-    h = ad.avg_pool2(ad.relu(ad.conv2d(h, leaves["f/conv2"])))
+    h = ad.conv_relu_pool(ad.Tensor(x, name="x"), leaves["f/conv1"])
+    h = ad.conv_relu_pool(h, leaves["f/conv2"])
     z = ad.dense(ad.global_avg_pool(h), leaves["f/w"], leaves["f/b"])
 
     y_logits = ad.dense(z, leaves["c/w"], leaves["c/b"])

@@ -120,6 +120,64 @@ class TestConvPoolAtModelGeometry:
         assert_grads_close(kt.grad, num)
 
 
+class TestConvReluPool:
+    """The fused block is avg_pool2(relu(conv2d(x, k))) as one node."""
+
+    # A local generator, so the module RNG's draws for the other tests stay as they were.
+    rng = np.random.default_rng(9)
+
+    def test_gradcheck_odd_height_and_width(self):
+        target = self.rng.normal(size=(2, 2, 3, 2))
+        check_op(
+            lambda x, k: ad.mse_loss(ad.conv_relu_pool(x, k), target),
+            [self.rng.normal(size=(2, 3, 7, 5)), self.rng.normal(size=(2, 3, 3, 3))],
+        )
+
+    def test_data_input_gets_no_gradient(self):
+        x = self.rng.normal(size=(2, 2, 6, 5))
+        k = self.rng.normal(size=(3, 2, 3, 3))
+        target = self.rng.normal(size=(2, 3, 3, 2))
+
+        def loss_of(kt, xt):
+            return ad.mse_loss(ad.conv_relu_pool(xt, kt), target)
+
+        xt = ad.Tensor(x)
+        kt = ad.Tensor(k.copy(), requires_grad=True)
+        ad.backward(loss_of(kt, xt))
+        assert xt.grad is None
+        num = numerical_grad(lambda a: loss_of(ad.Tensor(a), ad.Tensor(x)).value, k.copy())
+        assert_grads_close(kt.grad, num)
+
+    def test_negative_overflow_is_reported(self):
+        # Each output sums four or more products of -1e38: -inf, which relu must not turn into 0.
+        x = np.full((1, 1, 4, 4), -1.0, dtype=np.float32)
+        k = np.full((1, 1, 3, 3), 1e38, dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv_relu_pool"):
+            ad.conv_relu_pool(x, k)
+
+    @pytest.mark.parametrize("shape, f", [((32, 1, 64, 64), 4), ((32, 4, 32, 32), 8), ((3, 2, 7, 5), 3)])
+    def test_float32_bits_equal_three_node_chain(self, shape, f):
+        rng = np.random.default_rng(5)
+        n, c, h, w = shape
+        x = rng.normal(size=shape).astype(np.float32)
+        x[:, :, : h // 2] = 0.0  # a zero band, so relu also cuts conv outputs that are exactly 0
+        x[rng.random(shape) < 0.1] = 0.0
+        k = rng.normal(size=(f, c, 3, 3)).astype(np.float32)
+        target = rng.normal(size=(n, f, h // 2, w // 2))
+        conv = ad.conv2d(ad.Tensor(x), ad.Tensor(k)).value
+        assert (conv == 0).any() and (conv < 0).any()
+
+        def run(block):
+            xt = ad.Tensor(x.copy(), requires_grad=True)
+            kt = ad.Tensor(k.copy(), requires_grad=True)
+            out = block(xt, kt)
+            ad.backward(ad.mse_loss(out, target))
+            assert out.value.dtype == xt.grad.dtype == kt.grad.dtype == np.float32
+            return out.value.tobytes(), xt.grad.tobytes(), kt.grad.tobytes()
+
+        assert run(ad.conv_relu_pool) == run(lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_gives_log_k(self):
         logits = np.zeros((3, 10))

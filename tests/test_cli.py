@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -365,6 +366,12 @@ def _no_test_split(rows, tmp_path):
     return [r for r in rows if r.split != "test"]
 
 
+def _tiny_features(rows, tmp_path):
+    tiny = tmp_path / "tiny.mtt"
+    save_tensors(tiny, {"features": np.zeros((3, 64), dtype=np.float32)})
+    return [replace(r, feature_path=str(tiny)) for r in rows]
+
+
 @pytest.fixture(scope="module")
 def checkpoint_path(small_dataset, tmp_path_factory):
     _, rows = small_dataset
@@ -422,6 +429,27 @@ class TestMalformedManifests:
             assert expect in json.loads((out / "report.json").read_text())["per_device"]
         else:
             assert expect in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+    def test_feature_too_small_for_the_model(self, command, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys):
+        # Two 2x2 pools of a 3-row feature leave no cell: a shape error, not a numeric one.
+        _, rows = small_dataset
+        _, index, config = train_inputs
+        manifest = tmp_path / "tiny.csv"
+        write_manifest(_tiny_features(rows, tmp_path), manifest)
+        args = {
+            "train": ["--config", str(config), "--index", str(index)],
+            "eval": ["--checkpoint", str(checkpoint_path)],
+            "export-embeddings": ["--checkpoint", str(checkpoint_path), "--n-per-device", "24"],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"), *args]) == 1
+        err = capsys.readouterr().err
+        assert "feature height and width must be at least 4 (two 2x2 pools)" in err
+        assert ", 1, 3, 64]" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRunRecord:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtda import autodiff as ad
-from mtda.errors import ContractError
+from mtda.errors import ContractError, ShapeError
 from mtda.models import (
     AdversarialModel,
     Batch,
@@ -68,6 +68,17 @@ class TestForward:
         assert head_width(mode, 4) == width
         model = make_model(mode)
         assert model.params["d/w2"].shape[1] == width
+
+    @pytest.mark.parametrize("hw", [(3, 64), (64, 3), (1, 1)])
+    def test_feature_too_small_for_two_pools(self, hw):
+        # Two 2x2 pools of a side below 4 leave no cell for the global average.
+        model = make_model(Mode.MTDA_C2)
+        with pytest.raises(ShapeError, match=rf"at least 4 .*\[2, 1, {hw[0]}, {hw[1]}\]"):
+            forward(model, np.ones((2, 1, *hw)))
+
+    def test_smallest_feature_for_two_pools(self):
+        fwd = forward(make_model(Mode.MTDA_C2), np.ones((2, 1, 4, 4)))
+        assert fwd.z.shape == (2, 64)
 
     def test_mismatched_mode_and_head_rejected(self):
         model = make_model(Mode.MTDA_C1)
