@@ -13,6 +13,9 @@ graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
 Pooling sums four strided slices. `conv_relu_pool` runs a model block (conv,
 relu, pool) as one node with the same bits: relu works in place and only the
 pooled value enters the graph, sparing two full-size activations and copies.
+Its relu is two branch-free passes, ``act *= mask`` then ``act += 0.0``: a
+masked write branches on every element and cost more than the conv GEMM, and
+adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
 
 All values are numpy arrays; float64 is used in tests (finite-difference
 tolerances require it), float32 is fine for training. Everything is
@@ -242,7 +245,8 @@ def conv_relu_pool(x, k):
     if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
         raise NumericError("non-finite values in tensor conv_relu_pool")
     mask = act > 0
-    np.copyto(act, 0.0, where=~mask)  # +0.0, exactly as relu's np.where writes
+    act *= mask  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
+    act += 0.0  # ... and -0.0 + 0.0 is +0.0, exactly what relu's np.where writes
 
     def backward(g):
         dact = _unpool(g, mask)

@@ -155,7 +155,16 @@ class TestConvReluPool:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv_relu_pool"):
             ad.conv_relu_pool(x, k)
 
-    @pytest.mark.parametrize("shape, f", [((32, 1, 64, 64), 4), ((32, 4, 32, 32), 8), ((3, 2, 7, 5), 3)])
+    def test_positive_overflow_is_reported(self):
+        # +inf passes the NaN/-inf check and relu's mask multiply; the pooled output must still be rejected.
+        x = np.full((1, 1, 4, 4), 1.0, dtype=np.float32)
+        k = np.full((1, 1, 3, 3), 1e38, dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv_relu_pool"):
+            ad.conv_relu_pool(x, k)
+
+    @pytest.mark.parametrize(
+        "shape, f", [((32, 1, 64, 64), 4), ((32, 4, 32, 32), 8), ((3, 2, 7, 5), 3), ((2, 4, 319, 32), 8)]
+    )
     def test_float32_bits_equal_three_node_chain(self, shape, f):
         rng = np.random.default_rng(5)
         n, c, h, w = shape

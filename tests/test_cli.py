@@ -533,8 +533,11 @@ class TestMalformedTrainInputs:
                 {"A": {"distance": 0.0, "index": 1}, "B": {"distance": 0.5, "index": 0}},
                 "must number the train devices 0..2 with source A at 0",
             ),
+            ({"B": {"distance": 0.5, "index": 1.7}}, "device B index must be an integer, got 1.7"),
+            ({"B": {"distance": 0.5, "index": True}}, "device B index must be an integer, got True"),
+            ({"B": {"distance": float("nan"), "index": 1}}, "device B distance must be a finite number, got nan"),
         ],
-        ids=["no-index", "out-of-range", "duplicate", "swapped-source"],
+        ids=["no-index", "out-of-range", "duplicate", "swapped-source", "fraction-index", "bool-index", "nan-distance"],
     )
     def test_malformed_index_table(self, patch, expect, train_inputs, tmp_path, capsys):
         manifest, index, config = train_inputs
@@ -546,6 +549,7 @@ class TestMalformedTrainInputs:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert not (out / "checkpoint.mtda").exists()
+        assert not (out / "run.json").exists()
 
 
 

@@ -1,5 +1,8 @@
 """Tests for domain distance and domain-index assignment."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,3 +92,33 @@ def test_json_round_trip(tmp_path):
     loaded = load_index_table(path)
     assert loaded == table
     assert loaded["A"] == DomainEntry(distance=0.0, index=0)
+
+
+@pytest.mark.parametrize(
+    "entry, expect",
+    [
+        ({"distance": 0.4, "index": 1.7}, "device B index must be an integer, got 1.7"),
+        ({"distance": 0.4, "index": 1.0}, "device B index must be an integer, got 1.0"),
+        ({"distance": 0.4, "index": True}, "device B index must be an integer, got True"),
+        ({"distance": 0.4, "index": "1"}, "device B index must be an integer, got '1'"),
+        ({"distance": float("nan"), "index": 1}, "device B distance must be a finite number, got nan"),
+        ({"distance": float("inf"), "index": 1}, "device B distance must be a finite number, got inf"),
+        ({"distance": False, "index": 1}, "device B distance must be a finite number, got False"),
+        ({"distance": "0.4", "index": 1}, "device B distance must be a finite number, got '0.4'"),
+        ({"index": 1}, "device B needs a numeric distance and index"),
+        ([0.4, 1], "device B needs a numeric distance and index"),
+    ],
+    ids=["fraction", "float-integral", "bool-index", "string-index", "nan", "infinity", "bool-distance",
+         "string-distance", "no-distance", "not-an-object"],
+)
+def test_load_rejects_non_strict_entry(entry, expect, tmp_path):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({"A": {"distance": 0.0, "index": 0}, "B": entry}))
+    with pytest.raises(ContractError, match=re.escape(expect)):
+        load_index_table(path)
+
+
+def test_load_keeps_integral_distance(tmp_path):
+    path = tmp_path / "index.json"
+    path.write_text('{"A": {"distance": 0, "index": 0}, "B": {"distance": 2, "index": 1}}')
+    assert load_index_table(path) == {"A": DomainEntry(0.0, 0), "B": DomainEntry(2.0, 1)}
