@@ -36,13 +36,20 @@ from mtda.models import AdversarialModel
 from mtda.synth import SynthConfig, make_dataset
 from mtda.training import TrainConfig, compute_index_table, evaluate, export_embeddings, sweep, train
 
+
+def _seed(text) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _FLAGS = {
     "manifest": {"help": "dataset manifest CSV"},
     "config": {"help": "config JSON"},
     "index": {"help": "domain index table JSON"},
     "checkpoint": {"help": "model checkpoint"},
     "override": {"action": "append", "default": [], "metavar": "KEY=VALUE", "help": "set one config field"},
-    "seed": {"type": int, "help": "random seed (replaces the config's, if any)"},
+    "seed": {"type": _seed, "help": "random seed (replaces the config's, if any)"},
 }
 
 
@@ -99,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args, out):
-    cfg = SynthConfig.from_dict(_read_config(args.config))
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(SynthConfig, args)
     make_dataset(cfg, out)
     print(f"wrote dataset to {out}", file=sys.stderr)
     return {"config": {**vars(cfg), "devices": [[d.device_id, d.shift_magnitude] for d in cfg.devices]}}
@@ -125,25 +130,25 @@ def cmd_index(args, out):
     print(f"wrote {out / 'index.json'}", file=sys.stderr)
 
 
-def _read_config(path) -> dict:
-    payload = json.loads(Path(path).read_text())
+def _config(cls, args):
+    """The `cls` config of `--config`, with each `--override` and `--seed` applied."""
+    payload = json.loads(Path(args.config).read_text())
     if not isinstance(payload, dict):
-        raise ContractError(f"config {path} must be a JSON object, got {type(payload).__name__}")
-    return payload
-
-
-def _train_inputs(args):
-    """The resolved config, the manifest rows and the index table of train and sweep."""
+        raise ContractError(f"config {args.config} must be a JSON object, got {type(payload).__name__}")
     overrides = {}
-    for pair in args.override:
+    for pair in getattr(args, "override", ()):
         key, sep, value = pair.partition("=")
         if not sep:
             raise ContractError(f"override must be KEY=VALUE, got {pair!r}")
         overrides[key] = value
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = str(args.seed)
-    cfg = TrainConfig.from_dict(_read_config(args.config), overrides)
-    return cfg, read_manifest(args.manifest), load_index_table(args.index)
+    return cls.from_dict(payload, overrides)
+
+
+def _train_inputs(args):
+    """The resolved config, the manifest rows and the index table of train and sweep."""
+    return _config(TrainConfig, args), read_manifest(args.manifest), load_index_table(args.index)
 
 
 def cmd_train(args, out):
@@ -162,7 +167,7 @@ def cmd_train(args, out):
 def cmd_eval(args, out):
     model = AdversarialModel.load(args.checkpoint)
     rows = read_manifest(args.manifest)
-    groups = TrainConfig.from_dict(_read_config(args.config)).device_groups if args.config else {}
+    groups = _config(TrainConfig, args).device_groups if args.config else {}
     _write_report(evaluate(model, rows, device_groups=groups), out)
 
 

@@ -1,8 +1,17 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and the one field checker.
 
 Exit-code mapping in the CLI: ContractError / ShapeError / NumericError -> 1,
-OS-level failures -> 2.
+OS-level failures -> 2. `check` alone decides whether a value read from a
+config file, an ``--override`` string or an index table has its field's kind
+and bounds; config fields declare those once, with `rule`, and `Checked`
+applies them to every config built and every override string parsed.
 """
+
+import json
+import numbers
+import operator
+import sys
+from dataclasses import MISSING, field, fields
 
 
 class ShapeError(ValueError):
@@ -20,3 +29,85 @@ class ContractError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced NaN/Inf where finite values are required."""
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "bool", str: "a string",
+               dict: "an object of string lists", None: "JSON"}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "le": ("<=", operator.le), "lt": ("<", operator.lt)}
+_BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
+
+
+def fits(value, kind) -> bool:
+    """Whether `value` has `kind`: a bool is no number, an int passes as a float, a float must be finite."""
+    if kind in (int, float):
+        number = isinstance(value, numbers.Integral if kind is int else numbers.Real) and not isinstance(value, bool)
+        return number and (kind is int or abs(value) <= sys.float_info.max)  # finite, also as a float
+    if kind is tuple:
+        return isinstance(value, (list, tuple))
+    if kind is dict:  # device groups: name -> member devices
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and fits(m, tuple) and all(isinstance(d, str) for d in m) for k, m in value.items()
+        )
+    return isinstance(value, kind)
+
+
+def _kind_text(kind=None, item=None, **_bounds) -> str:
+    return f"a list of {item.__name__}" if kind is tuple else _KIND_NAMES[kind]
+
+
+def check(name, value, kind, item=None, size=None, **bounds):
+    """`value` if it has `kind` and meets `bounds` (`ge`, `gt`, `le`, `lt`), else a ContractError naming `name`.
+
+    A `tuple` kind takes a non-empty list of `item`s (`size` of them, if given), each within
+    `bounds`, and returns a tuple; any other value comes back unchanged, so a float field keeps an int.
+    """
+    if not fits(value, kind):
+        raise ContractError(f"{name} must be {_kind_text(kind, item)}, got {value!r}")
+    if kind is tuple:
+        if not value:
+            raise ContractError(f"{name} must not be empty, got {value!r}")
+        if size is not None and len(value) != size:
+            raise ContractError(f"{name} must hold {size} values, got {value!r}")
+        return tuple(check(f"{name}[{i}]", v, item, **bounds) for i, v in enumerate(value))
+    for key, limit in bounds.items():
+        sign, holds = _BOUNDS[key]
+        if not holds(value, limit):
+            raise ContractError(f"{name} must be {sign} {limit}, got {value!r}")
+    return value
+
+
+def rule(kind, default=MISSING, factory=MISSING, **bounds):
+    """A dataclass field that `Checked` validates with `check(name, value, kind, **bounds)`."""
+    return field(default=default, default_factory=factory, metadata={"kind": kind, **bounds})
+
+
+def _parse(text, kind=None, item=None, **_bounds):
+    if kind is tuple:
+        return tuple(item(v) for v in text.split(","))
+    return {bool: _BOOLS.__getitem__, int: int, float: float, str: str}.get(kind, json.loads)(text)
+
+
+class Checked:
+    """A dataclass whose `rule` fields are checked whenever an instance is built."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "kind" in f.metadata:
+                setattr(self, f.name, check(f.name, getattr(self, f.name), **f.metadata))
+
+    @classmethod
+    def from_dict(cls, payload: dict, overrides=None):
+        """`payload` holds JSON values; `overrides` holds strings, parsed by each field's kind."""
+        known, overrides = {f.name: f for f in fields(cls)}, overrides or {}
+        required = {n for n, f in known.items() if f.default is MISSING and f.default_factory is MISSING}
+        unknown, missing = set(payload) - set(known), required - {*payload, *overrides}
+        if unknown or missing:
+            raise ContractError(f"{cls.__name__}: unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
+        for key, text in overrides.items():
+            if key not in known:
+                raise ContractError(f"unknown override key: {key}")
+            try:
+                payload = {**payload, key: _parse(text, **known[key].metadata)}
+            except (KeyError, ValueError):
+                raise ContractError(f"override {key}={text!r} is not {_kind_text(**known[key].metadata)}") from None
+        return cls(**payload)

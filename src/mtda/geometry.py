@@ -9,13 +9,12 @@ device's domain index and the source device is fixed at index 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError
+from mtda.errors import ContractError, check
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,8 @@ def load_index_table(path) -> DomainIndexTable:
             raise ContractError(
                 f"index table {path}: device {dev} needs a numeric distance and index, got {v!r}"
             ) from None
-        # bool is an int subclass, and json reads NaN and Infinity as floats
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ContractError(f"index table {path}: device {dev} index must be an integer, got {index!r}")
-        if isinstance(distance, bool) or not isinstance(distance, (int, float)) or not math.isfinite(distance):
-            raise ContractError(f"index table {path}: device {dev} distance must be a finite number, got {distance!r}")
-        table[dev] = DomainEntry(distance=float(distance), index=index)
+        table[dev] = DomainEntry(
+            index=check(f"index table {path}: device {dev} index", index, int),
+            distance=float(check(f"index table {path}: device {dev} distance", distance, float)),
+        )
     return table

@@ -14,14 +14,13 @@ mel features, so realism below that interface buys nothing.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from mtda import checkpoint
-from mtda.errors import ContractError
+from mtda.errors import Checked, ContractError, fits, rule
 from mtda.manifest import ManifestRow, write_manifest
 
 FRAMES = 64
@@ -63,29 +62,18 @@ class DeviceProfile:
 
 
 @dataclass
-class SynthConfig:
-    n_classes: int
+class SynthConfig(Checked):
+    n_classes: int = rule(int, ge=2)
     devices: list  # DeviceProfile or (device_id, magnitude); first entry is the source
-    samples_per_device_per_class: int
-    parallel_fraction: float = 0.5
-    test_fraction: float = 0.25
-    seed: int = 0
+    samples_per_device_per_class: int = rule(int, ge=1)
+    parallel_fraction: float = rule(float, 0.5, ge=0, le=1)
+    test_fraction: float = rule(float, 0.25, ge=0, lt=1)
+    seed: int = rule(int, 0, ge=0)
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, value = {"int": numbers.Integral, "float": numbers.Real}.get(f.type), getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ContractError(f"synth config field {f.name} must be {f.type}, got {value!r}")
-        if self.n_classes < 2:
-            raise ContractError("need at least 2 classes")
-        if self.samples_per_device_per_class < 1:
-            raise ContractError("samples_per_device_per_class must be >= 1")
+        super().__post_init__()
         if not isinstance(self.devices, (list, tuple)) or len(self.devices) < 2:
             raise ContractError("need a source and at least one target device")
-        if not 0.0 <= self.parallel_fraction <= 1.0:
-            raise ContractError("parallel fraction must be in [0, 1]")
-        if not 0.0 <= self.test_fraction < 1.0:
-            raise ContractError("test fraction must be in [0, 1)")
         n = self.samples_per_device_per_class
         if math.ceil(self.test_fraction * n) >= n:  # make_dataset's split
             raise ContractError(
@@ -96,18 +84,9 @@ class SynthConfig:
         if len(set(ids)) != len(ids):
             raise ContractError(f"device ids must be unique (they key row ids and feature files), got {ids}")
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SynthConfig":
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
-        if unknown or missing:
-            raise ContractError(f"synth config: unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
-        return cls(**payload)
-
 
 def _device_profile(pair) -> DeviceProfile:
-    is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
-    if not (is_pair and isinstance(pair[1], numbers.Real) and not isinstance(pair[1], bool) and math.isfinite(pair[1])):
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str) and fits(pair[1], float)):
         raise ContractError(f"each synth device must be an [id, magnitude] pair, got {pair!r}")
     return DeviceProfile.from_magnitude(*pair)
 

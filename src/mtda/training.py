@@ -10,16 +10,14 @@ deterministic given (config, seed, data bytes).
 
 from __future__ import annotations
 
-import json
-import numbers
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from mtda import autodiff as ad
 from mtda import checkpoint
-from mtda.errors import ContractError, NumericError
+from mtda.errors import Checked, ContractError, NumericError, check, rule
 from mtda.geometry import (
     DomainIndexTable,
     assign_indices,
@@ -42,100 +40,28 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
-class TrainConfig:
-    mode: str = "mtda-c2"
-    lambda_d: float = 1.0
-    t: float = 10.0
-    learning_rate: float = 0.002
-    batch_size: int = 32
-    epochs: int = 200
-    seed: int = 0
-    holdout_fraction: float = 0.2
-    lambda_grid: tuple = LAMBDA_GRID
-    conv_channels: tuple = (4, 8)
-    device_groups: dict = field(default_factory=dict)  # e.g. {"B&C": ["B", "C"]}
-    normalize_index: bool = False  # rescale mtda-r regression targets to [0, 1]
+class TrainConfig(Checked):
+    mode: str = rule(str, "mtda-c2")
+    lambda_d: float = rule(float, 1.0, ge=0)
+    t: float = rule(float, 10.0, gt=0)
+    learning_rate: float = rule(float, 0.002, gt=0)
+    batch_size: int = rule(int, 32, ge=2)
+    epochs: int = rule(int, 200, ge=1)
+    seed: int = rule(int, 0, ge=0)
+    holdout_fraction: float = rule(float, 0.2, ge=0, lt=1)
+    lambda_grid: tuple = rule(tuple, LAMBDA_GRID, item=float, ge=0)
+    conv_channels: tuple = rule(tuple, (4, 8), item=int, size=2, ge=1)
+    device_groups: dict = rule(dict, factory=dict)  # e.g. {"B&C": ["B", "C"]}
+    normalize_index: bool = rule(bool, False)  # rescale mtda-r regression targets to [0, 1]
 
     def __post_init__(self):
-        for f in fields(self):
-            value, default = getattr(self, f.name), _field_default(f)
-            if isinstance(default, tuple) and isinstance(value, list):
-                value = tuple(value)
-                setattr(self, f.name, value)
-            if not _is_kind(value, default):
-                raise ContractError(f"config field {f.name} must be {_kind_name(default)}, got {value!r}")
+        super().__post_init__()
         Mode(self.mode)
-        if self.lambda_d < 0:
-            raise ContractError("lambda_d must be >= 0")
-        if self.batch_size < 2:
-            raise ContractError("batch_size must be >= 2")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
 
     @property
     def n_source(self) -> int:
         """Source rows per batch: half, rounded half to even."""
         return int(round(self.batch_size / 2))
-
-    @classmethod
-    def from_dict(cls, payload: dict, overrides=None) -> "TrainConfig":
-        """`payload` holds JSON values; `overrides` holds strings, parsed by each field's type."""
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(payload) - set(known)
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        parsed = {}
-        for key, text in (overrides or {}).items():
-            if key not in known:
-                raise ContractError(f"unknown override key: {key}")
-            parsed[key] = _parse_override(key, text, _field_default(known[key]))
-        return cls(**{**payload, **parsed})
-
-
-_BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
-
-
-def _field_default(f):
-    return f.default_factory() if f.default is MISSING else f.default
-
-
-def _is_kind(value, default) -> bool:
-    """Whether `value` has the type of a field whose default is `default`."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, tuple):
-        return isinstance(value, tuple) and all(_is_kind(v, default[0]) for v in value)
-    if isinstance(default, dict):  # device groups: name -> member devices
-        return isinstance(value, dict) and all(
-            isinstance(k, str) and isinstance(m, (list, tuple)) and all(isinstance(d, str) for d in m)
-            for k, m in value.items()
-        )
-    if isinstance(default, float):
-        return isinstance(value, numbers.Real)
-    if isinstance(default, int):
-        return isinstance(value, numbers.Integral)
-    return isinstance(value, type(default))
-
-
-def _kind_name(default) -> str:
-    if isinstance(default, tuple):
-        return f"a list of {type(default[0]).__name__}"
-    if isinstance(default, dict):
-        return "an object of string lists"
-    return type(default).__name__
-
-
-def _parse_override(key, text, default):
-    try:
-        if isinstance(default, bool):
-            return _BOOLS[text]
-        if isinstance(default, tuple):
-            return tuple(type(default[0])(v) for v in text.split(","))
-        if isinstance(default, dict):
-            return json.loads(text)
-        return type(default)(text)
-    except (KeyError, ValueError):
-        raise ContractError(f"override {key}={text!r} is not {_kind_name(default)}") from None
 
 
 @dataclass
@@ -418,8 +344,7 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, seed=0, tsne_
     """The t-SNE embedding of the features z of up to `n_per_device` rows per device, and those rows."""
     import warnings
 
-    if n_per_device < 5:
-        raise ContractError("n_per_device must be >= 5")
+    check("n_per_device", n_per_device, int, ge=5)
     usable = [r for r in rows if r.feature_path]
     rng = np.random.default_rng(seed)
     chosen = []

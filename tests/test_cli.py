@@ -12,6 +12,7 @@ from mtda.checkpoint import load_tensors, save_tensors
 from mtda.cli import main
 from mtda.geometry import DomainEntry, save_index_table
 from mtda.manifest import write_manifest
+from mtda.synth import SynthConfig
 from mtda.training import TrainConfig, train
 
 FAST_TRAIN = {
@@ -95,12 +96,12 @@ class TestDispatch:
             ),
             (
                 {"n_classes": "2", "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 2},
-                "synth config field n_classes must be int, got '2'",
+                "n_classes must be an integer, got '2'",
             ),
             (
                 {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 4,
                  "test_fraction": 1.5},
-                "test fraction must be in [0, 1)",
+                "test_fraction must be < 1, got 1.5",
             ),
             (
                 {"n_classes": 2, "devices": [["A", 0.0], ["A", 1.0]], "samples_per_device_per_class": 2},
@@ -152,6 +153,37 @@ class TestSynth:
         assert main(["synth", "--config", str(synth_config), "--out", str(out), "--seed", "99"]) == 0
         assert json.loads((out / "run.json").read_text())["config"]["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("synth", ["--config", "synth.json"]),
+            ("index", ["--manifest", "manifest.csv"]),
+            ("train", ["--config", "train.json", "--manifest", "manifest.csv", "--index", "index.json"]),
+            ("sweep", ["--config", "train.json", "--manifest", "manifest.csv", "--index", "index.json"]),
+            ("export-embeddings", ["--checkpoint", "checkpoint.mtda", "--manifest", "manifest.csv"]),
+        ],
+        ids=["synth", "index", "train", "sweep", "export-embeddings"],
+    )
+    def test_negative_seed_exits_one(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, *flags, "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got '-1'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_recorded_config_parses_back(self, synth_config, tmp_path):
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(synth_config), "--out", str(out), "--seed", "5"]) == 0
+        recorded = SynthConfig.from_dict(json.loads((out / "run.json").read_text())["config"])
+        used = SynthConfig.from_dict(json.loads(synth_config.read_text()), {"seed": "5"})
+        assert _synth_fields(recorded) == _synth_fields(used)
+
+
+def _synth_fields(cfg):
+    """A SynthConfig's fields, with each device profile as comparable values."""
+    devices = [(d.device_id, d.shift_magnitude, d.band_gain_curve.tobytes(), d.noise_std) for d in cfg.devices]
+    return {**vars(cfg), "devices": devices}
+
 
 class TestTrainEval:
     def test_train_produces_artifacts(self, train_inputs, tmp_path):
@@ -191,6 +223,17 @@ class TestTrainEval:
         echo = json.loads((out / "run.json").read_text())
         assert echo["config"]["lambda_d"] == 2.5
         assert echo["config"]["seed"] == 7
+
+    def test_recorded_config_parses_back(self, train_inputs, tmp_path):
+        manifest, index, config = train_inputs
+        config.write_text(json.dumps({**FAST_TRAIN, "lambda_d": 1, "lambda_grid": [0.5, 2]}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(out), "--override", "t=2.5", "--seed", "7"]) == 0
+        recorded = json.loads((out / "run.json").read_text())["config"]
+        assert recorded["lambda_d"] == 1 and type(recorded["lambda_d"]) is int  # an int stays an int
+        used = TrainConfig.from_dict(json.loads(config.read_text()), {"t": "2.5", "seed": "7"})
+        assert TrainConfig.from_dict(recorded) == used
 
     def test_unknown_override_exits_one(self, train_inputs, tmp_path, capsys):
         manifest, index, config = train_inputs
@@ -337,6 +380,18 @@ class TestSweepCommand:
         assert summary["best_lambda_d"] is None and all(r["error"] for r in summary["results"])
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
         assert not (out / "run.json").exists()
+
+
+    def test_empty_grid_exits_one(self, train_inputs, tmp_path, capsys):
+        manifest, index, _ = train_inputs
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**FAST_TRAIN, "lambda_grid": []}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "lambda_grid must not be empty, got []" in err and "Traceback" not in err
+        assert not (out / "run.json").exists() and not (out / "sweep.json").exists()
 
 
 def _test_only_device(rows, tmp_path):
@@ -502,13 +557,24 @@ class TestMalformedTrainInputs:
             ({}, ["device_groups=B"], "override device_groups='B' is not an object of string lists"),
             ({}, ['device_groups={"t": "B"}'], "device_groups must be an object of string lists"),
             ({}, ["conv_channels=2.5,4"], "override conv_channels='2.5,4' is not a list of int"),
-            ({"lambda_d": "1.0"}, [], "lambda_d must be float, got '1.0'"),
-            ({"epochs": "1"}, [], "epochs must be int, got '1'"),
+            ({"lambda_d": "1.0"}, [], "lambda_d must be a finite number, got '1.0'"),
+            ({"epochs": "1"}, [], "epochs must be an integer, got '1'"),
             ({"epochs": 0}, [], "epochs must be >= 1"),
+            ({}, ["learning_rate=-0.01"], "learning_rate must be > 0, got -0.01"),
+            ({}, ["learning_rate=0"], "learning_rate must be > 0, got 0.0"),
+            ({}, ["t=nan"], "t must be a finite number, got nan"),
+            ({}, ["lambda_d=nan"], "lambda_d must be a finite number, got nan"),
+            ({}, ["lambda_d=inf"], "lambda_d must be a finite number, got inf"),
+            ({}, ["holdout_fraction=nan"], "holdout_fraction must be a finite number, got nan"),
+            ({}, ["holdout_fraction=-1"], "holdout_fraction must be >= 0, got -1.0"),
+            ({}, ["conv_channels=0,8"], "conv_channels[0] must be >= 1, got 0"),
+            ({}, ["conv_channels=4"], "conv_channels must hold 2 values, got (4,)"),
+            ({}, ["seed=-1"], "seed must be >= 0, got -1"),
         ],
         ids=[
             "bool-yes", "groups-string", "groups-not-lists", "channels-float", "file-lambda-str", "file-epochs-str",
-            "epochs-zero",
+            "epochs-zero", "learning_rate=-0.01", "learning_rate=0", "t=nan", "lambda_d=nan", "lambda_d=inf",
+            "holdout_fraction=nan", "holdout_fraction=-1", "conv_channels=0,8", "conv_channels=4", "seed=-1",
         ],
     )
     def test_mistyped_config(self, payload, overrides, expect, train_inputs, tmp_path, capsys):
@@ -522,6 +588,7 @@ class TestMalformedTrainInputs:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert not (out / "checkpoint.mtda").exists()
+        assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize(
         "patch, expect",

@@ -40,7 +40,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("key", ["learning_rat", "beta1", "source_fraction"])
     def test_unknown_key_rejected(self, key):
-        with pytest.raises(ContractError, match="unknown config keys"):
+        with pytest.raises(ContractError, match="unknown keys"):
             TrainConfig.from_dict({key: 0.1})
 
     def test_batch_needs_a_source_and_a_target_row(self):
