@@ -18,6 +18,8 @@ Files that are only outputs (``run.json``, reports, logs, accuracy, sweep and
 embedding tables) are written here alone, by ``_write_json`` and
 ``_write_csv``. Files the library reads back (``index.json``, checkpoints,
 features, manifests) keep their save/load pair in the module that owns them.
+A report is ``evaluate``'s record, the same from ``train``, ``eval`` and
+``sweep``; the loss curve goes only to ``train_log.csv``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -109,7 +112,7 @@ def cmd_synth(args, out):
     cfg = _config(SynthConfig, args)
     make_dataset(cfg, out)
     print(f"wrote dataset to {out}", file=sys.stderr)
-    return {"config": {**vars(cfg), "devices": [[d.device_id, d.shift_magnitude] for d in cfg.devices]}}
+    return {"config": asdict(cfg)}
 
 
 def cmd_ingest(args, out):
@@ -153,14 +156,13 @@ def _train_inputs(args):
 
 def cmd_train(args, out):
     cfg, rows, table = _train_inputs(args)
+    start = time.monotonic()
     result = train(cfg, rows, table)
+    seconds, holdout = time.monotonic() - start, result.report.best_holdout_accuracy
+    print(f"trained in {seconds:.1f} s, best holdout accuracy {holdout:.3f}", file=sys.stderr)
     _write_csv(out / "train_log.csv", ["step", "L_y", "L_d", "L_total"], result.report.loss_curve)
     result.model.save(out / "checkpoint.mtda")
-    report = evaluate(result.model, rows, device_groups=cfg.device_groups)
-    report.loss_curve = result.report.loss_curve
-    report.wall_time_s = result.report.wall_time_s
-    _write_report(report, out)
-    print(f"best holdout accuracy {result.best_holdout_accuracy:.3f}", file=sys.stderr)
+    _write_report(evaluate(result.model, rows, device_groups=cfg.device_groups), out)
     return {"config": asdict(cfg), "index_table": index_table_payload(table)}
 
 

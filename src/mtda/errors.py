@@ -33,7 +33,8 @@ class NumericError(ArithmeticError):
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "bool", str: "a string",
                dict: "an object of string lists", None: "JSON"}
-_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "le": ("<=", operator.le), "lt": ("<", operator.lt)}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "le": ("<=", operator.le), "lt": ("<", operator.lt),
+           "among": ("one of", lambda value, options: value in options)}
 _BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
 
 
@@ -44,9 +45,10 @@ def fits(value, kind) -> bool:
         return number and (kind is int or abs(value) <= sys.float_info.max)  # finite, also as a float
     if kind is tuple:
         return isinstance(value, (list, tuple))
-    if kind is dict:  # device groups: name -> member devices
+    if kind is dict:  # device groups: name -> member devices, at least one
         return isinstance(value, dict) and all(
-            isinstance(k, str) and fits(m, tuple) and all(isinstance(d, str) for d in m) for k, m in value.items()
+            isinstance(k, str) and fits(m, tuple) and len(m) > 0 and all(isinstance(d, str) for d in m)
+            for k, m in value.items()
         )
     return isinstance(value, kind)
 
@@ -56,10 +58,11 @@ def _kind_text(kind=None, item=None, **_bounds) -> str:
 
 
 def check(name, value, kind, item=None, size=None, **bounds):
-    """`value` if it has `kind` and meets `bounds` (`ge`, `gt`, `le`, `lt`), else a ContractError naming `name`.
+    """`value` if it has `kind` and meets `bounds`, else a ContractError naming `name`.
 
-    A `tuple` kind takes a non-empty list of `item`s (`size` of them, if given), each within
-    `bounds`, and returns a tuple; any other value comes back unchanged, so a float field keeps an int.
+    `bounds` are `ge`, `gt`, `le`, `lt` and `among` (a tuple of the accepted values). A `tuple` kind
+    takes a non-empty list of `item`s (`size` of them, if given), each within `bounds`, and returns a
+    tuple; any other value comes back unchanged, so a float field keeps an int.
     """
     if not fits(value, kind):
         raise ContractError(f"{name} must be {_kind_text(kind, item)}, got {value!r}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from mtda import checkpoint
-from mtda.errors import Checked, ContractError, fits, rule
+from mtda.errors import Checked, ContractError, check, fits, rule
 from mtda.manifest import ManifestRow, write_manifest
 
 FRAMES = 64
@@ -64,7 +64,7 @@ class DeviceProfile:
 @dataclass
 class SynthConfig(Checked):
     n_classes: int = rule(int, ge=2)
-    devices: list  # DeviceProfile or (device_id, magnitude); first entry is the source
+    devices: list  # [device_id, magnitude] pairs; the first is the source
     samples_per_device_per_class: int = rule(int, ge=1)
     parallel_fraction: float = rule(float, 0.5, ge=0, le=1)
     test_fraction: float = rule(float, 0.25, ge=0, lt=1)
@@ -79,16 +79,14 @@ class SynthConfig(Checked):
             raise ContractError(
                 f"test fraction {self.test_fraction} of {n} samples per device and class leaves no train sample"
             )
-        self.devices = [d if isinstance(d, DeviceProfile) else _device_profile(d) for d in self.devices]
-        ids = [d.device_id for d in self.devices]
+        for pair in self.devices:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                    and fits(pair[1], float)):
+                raise ContractError(f"each synth device must be an [id, magnitude] pair, got {pair!r}")
+            check(f"device {pair[0]} magnitude", pair[1], float, ge=0)
+        ids = [device_id for device_id, _ in self.devices]
         if len(set(ids)) != len(ids):
             raise ContractError(f"device ids must be unique (they key row ids and feature files), got {ids}")
-
-
-def _device_profile(pair) -> DeviceProfile:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str) and fits(pair[1], float)):
-        raise ContractError(f"each synth device must be an [id, magnitude] pair, got {pair!r}")
-    return DeviceProfile.from_magnitude(*pair)
 
 
 def _stable_key(text: str) -> int:
@@ -150,20 +148,18 @@ def make_dataset(config: SynthConfig, out_dir) -> list[ManifestRow]:
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    source = config.devices[0]
+    profiles = [DeviceProfile.from_magnitude(*pair) for pair in config.devices]
     n_samples = config.samples_per_device_per_class
     n_test = int(math.ceil(config.test_fraction * n_samples))
     n_train = n_samples - n_test
     n_parallel = int(round(config.parallel_fraction * n_train))
 
     rows = []
-    for device_pos, profile in enumerate(config.devices):
+    for device_pos, profile in enumerate(profiles):
         for class_id in range(config.n_classes):
             for sample_idx in range(n_samples):
                 split = "train" if sample_idx < n_train else "test"
-                is_parallel = (
-                    split == "train" and sample_idx < n_parallel and profile.device_id != source.device_id
-                )
+                is_parallel = split == "train" and sample_idx < n_parallel and device_pos != 0
                 # Parallel rows reuse the source sample's clean tensor: key the
                 # clean stream by the *source* coordinates in that case.
                 clean_rng = np.random.default_rng(

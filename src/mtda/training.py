@@ -6,12 +6,14 @@ instance updates F, C and D jointly; the reversal node inside the model
 carries -lambda_d into F. Model selection uses held-out *source* accuracy
 (target labels are unavailable by the problem setting). Everything is
 deterministic given (config, seed, data bytes).
+
+`train` returns the kept model and its `TrainReport` (loss curve, holdout
+accuracy); `evaluate` returns the `ExperimentReport` of test accuracies.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +43,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class TrainConfig(Checked):
-    mode: str = rule(str, "mtda-c2")
+    mode: str = rule(str, "mtda-c2", among=tuple(m.value for m in Mode))
     lambda_d: float = rule(float, 1.0, ge=0)
     t: float = rule(float, 10.0, gt=0)
     learning_rate: float = rule(float, 0.002, gt=0)
@@ -54,10 +56,6 @@ class TrainConfig(Checked):
     device_groups: dict = rule(dict, factory=dict)  # e.g. {"B&C": ["B", "C"]}
     normalize_index: bool = rule(bool, False)  # rescale mtda-r regression targets to [0, 1]
 
-    def __post_init__(self):
-        super().__post_init__()
-        Mode(self.mode)
-
     @property
     def n_source(self) -> int:
         """Source rows per batch: half, rounded half to even."""
@@ -66,10 +64,8 @@ class TrainConfig(Checked):
 
 @dataclass
 class ExperimentReport:
-    per_device: dict
-    groups: dict
-    wall_time_s: float = 0.0
-    loss_curve: list = field(default_factory=list)  # (step, l_y, l_d, l_total)
+    per_device: dict  # device -> {"accuracy", "count"}
+    groups: dict  # group name -> count-weighted mean accuracy of its devices
 
 
 class Adam:
@@ -192,10 +188,15 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
 
 
 @dataclass
+class TrainReport:
+    loss_curve: list  # (step, l_y, l_d, l_total)
+    best_holdout_accuracy: float
+
+
+@dataclass
 class TrainResult:
     model: AdversarialModel
-    report: ExperimentReport
-    best_holdout_accuracy: float
+    report: TrainReport
 
 
 def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
@@ -218,7 +219,6 @@ def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
 
 
 def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResult:
-    start = time.monotonic()
     mode = Mode(config.mode)
     data = load_dataset(rows)
     source_device = _source_device(data.rows)
@@ -270,8 +270,6 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
             l_y = scene_loss(fwd.y_logits, batch.y_onehot, batch.source_mask)
             l_d = domain_loss_for_mode(mode, fwd, batch, t=config.t, normalize_index=config.normalize_index)
             total = l_y + l_d
-            if not np.isfinite(total.value):
-                raise NumericError(f"non-finite loss at step {step}")
             ad.backward(total)
             optimizer.step({k: leaf.grad for k, leaf in fwd.leaves.items()})
             curve.append((step, float(l_y.value), float(l_d.value), float(total.value)))
@@ -281,9 +279,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
             best_acc = acc
             best_params = {k: v.copy() for k, v in model.params.items()}
 
-    best_model = AdversarialModel(model.config, best_params)
-    report = ExperimentReport(per_device={}, groups={}, wall_time_s=time.monotonic() - start, loss_curve=curve)
-    return TrainResult(model=best_model, report=report, best_holdout_accuracy=best_acc)
+    return TrainResult(AdversarialModel(model.config, best_params), TrainReport(curve, best_acc))
 
 
 def _accuracy(model, data, idx):
@@ -329,10 +325,11 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
         }
     groups = {}
     for name, members in (device_groups or {}).items():
-        counts = [per_device[d]["count"] for d in members if d in per_device]
-        accs = [per_device[d]["accuracy"] for d in members if d in per_device]
-        if counts:
-            groups[name] = float(np.average(accs, weights=counts))
+        unknown = sorted(set(members) - set(per_device))
+        if unknown:
+            raise ContractError(f"device group {name} names devices with no test rows: {unknown}")
+        accs = [per_device[d]["accuracy"] for d in members]
+        groups[name] = float(np.average(accs, weights=[per_device[d]["count"] for d in members]))
     return ExperimentReport(per_device=per_device, groups=groups)
 
 

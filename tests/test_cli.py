@@ -115,10 +115,14 @@ class TestDispatch:
                 {"n_classes": 2, "devices": [["A", 0.0], ["B", 1.0]], "samples_per_device_per_class": 1},
                 "test fraction 0.25 of 1 samples per device and class leaves no train sample",
             ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["B", -1.0]], "samples_per_device_per_class": 2},
+                "device B magnitude must be >= 0, got -1.0",
+            ),
         ],
         ids=[
             "unknown-key", "missing-devices", "not-an-object", "device-not-pair", "magnitude-str", "classes-str",
-            "test-fraction", "duplicate-device", "no-samples", "no-train-sample",
+            "test-fraction", "duplicate-device", "no-samples", "no-train-sample", "negative-magnitude",
         ],
     )
     def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):
@@ -127,6 +131,7 @@ class TestDispatch:
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
+        assert list((tmp_path / "o").iterdir()) == []  # rejected before make_dataset writes a file
 
 
 class TestSynth:
@@ -176,13 +181,7 @@ class TestSynth:
         assert main(["synth", "--config", str(synth_config), "--out", str(out), "--seed", "5"]) == 0
         recorded = SynthConfig.from_dict(json.loads((out / "run.json").read_text())["config"])
         used = SynthConfig.from_dict(json.loads(synth_config.read_text()), {"seed": "5"})
-        assert _synth_fields(recorded) == _synth_fields(used)
-
-
-def _synth_fields(cfg):
-    """A SynthConfig's fields, with each device profile as comparable values."""
-    devices = [(d.device_id, d.shift_magnitude, d.band_gain_curve.tobytes(), d.noise_std) for d in cfg.devices]
-    return {**vars(cfg), "devices": devices}
+        assert recorded == used
 
 
 class TestTrainEval:
@@ -309,6 +308,17 @@ class TestTrainEval:
         assert log[0] == ["step", "L_y", "L_d", "L_total"]
         curve = train(TrainConfig.from_dict(FAST_TRAIN), rows, INDEX_TABLE).report.loss_curve
         assert [[int(r[0]), *map(float, r[1:])] for r in log[1:]] == [list(step) for step in curve]
+
+    def test_train_report_is_the_eval_report(self, train_inputs, tmp_path):
+        manifest, index, config = train_inputs
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.mtda"), "--manifest", str(manifest),
+                     "--config", str(config), "--out", str(ev)]) == 0
+        report = (run / "report.json").read_bytes()
+        assert report == (ev / "report.json").read_bytes()
+        assert json.loads(report).keys() == {"groups", "per_device"}
 
     def test_index_table_recorded_in_run_json_not_reports(self, train_inputs, tmp_path):
         manifest, index, config = train_inputs
@@ -570,11 +580,15 @@ class TestMalformedTrainInputs:
             ({}, ["conv_channels=0,8"], "conv_channels[0] must be >= 1, got 0"),
             ({}, ["conv_channels=4"], "conv_channels must hold 2 values, got (4,)"),
             ({}, ["seed=-1"], "seed must be >= 0, got -1"),
+            ({}, ["mode=x"], "mode must be one of ('dann', 'mtda-c1', 'mtda-c2', 'mtda-r'), got 'x'"),
+            ({"mode": "x"}, [], "mode must be one of ('dann', 'mtda-c1', 'mtda-c2', 'mtda-r'), got 'x'"),
+            ({}, ['device_groups={"t": []}'], "device_groups must be an object of string lists"),
         ],
         ids=[
             "bool-yes", "groups-string", "groups-not-lists", "channels-float", "file-lambda-str", "file-epochs-str",
             "epochs-zero", "learning_rate=-0.01", "learning_rate=0", "t=nan", "lambda_d=nan", "lambda_d=inf",
             "holdout_fraction=nan", "holdout_fraction=-1", "conv_channels=0,8", "conv_channels=4", "seed=-1",
+            "mode-override", "mode-file", "groups-empty",
         ],
     )
     def test_mistyped_config(self, payload, overrides, expect, train_inputs, tmp_path, capsys):
@@ -588,6 +602,26 @@ class TestMalformedTrainInputs:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert not (out / "checkpoint.mtda").exists()
+        assert not (out / "run.json").exists()
+
+    def test_unknown_group_device_exits_one(self, train_inputs, tmp_path, capsys):
+        manifest, index, _ = train_inputs
+        config = tmp_path / "groups.json"
+        config.write_text(json.dumps({**FAST_TRAIN, "device_groups": {"targets": ["B", "Z"]}}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "device group targets names devices with no test rows: ['Z']" in err and "Traceback" not in err
+        assert not (out / "run.json").exists()
+
+    def test_diverging_training_exits_one(self, train_inputs, tmp_path, capsys):
+        manifest, index, config = train_inputs
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                     "--out", str(out), "--override", "learning_rate=1e30"]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite values in tensor conv_relu_pool" in err and "Traceback" not in err
         assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize(

@@ -44,12 +44,15 @@ def _raises(message):
         (1, bool, {}, _raises("x must be bool, got 1")),
         ({"t": ["B", "C"]}, dict, {}, _returns({"t": ["B", "C"]})),
         ({"t": "B"}, dict, {}, _raises("x must be an object of string lists, got {'t': 'B'}")),
+        ("b", str, {"among": ("a", "b")}, _returns("b")),
+        ("c", str, {"among": ("a", "b")}, _raises("x must be one of ('a', 'b'), got 'c'")),
+        ({"t": []}, dict, {}, _raises("x must be an object of string lists, got {'t': []}")),
     ],
     ids=[
         "bool-as-int", "bool-as-float", "int-as-float", "float", "str-as-int", "float-as-int", "nan", "plus-inf",
         "minus-inf", "int-beyond-float", "ge-boundary", "ge", "gt", "le-boundary", "le", "lt", "list-to-tuple",
         "tuple-of-size", "empty-list", "wrong-size", "item-bound", "item-kind", "not-a-list", "int-as-bool",
-        "groups", "groups-not-lists",
+        "groups", "groups-not-lists", "among", "not-among", "groups-empty",
     ],
 )
 def test_check(value, kind, rules, expect):

@@ -255,6 +255,11 @@ class TestEvaluateClasses:
         with pytest.raises(ContractError, match=r"not among the train classes: \['sceneZ'\]"):
             evaluate(_constant_predictor(3, 1), rows)
 
+    def test_unknown_group_device_rejected(self, small_dataset):
+        _, rows = small_dataset
+        with pytest.raises(ContractError, match=r"device group targets names devices with no test rows: \['Z'\]"):
+            evaluate(_constant_predictor(3, 0), rows, device_groups={"targets": ["B", "Z"]})
+
     def test_class_count_must_match_model(self, small_dataset):
         _, rows = small_dataset
         with pytest.raises(ContractError, match="3 labeled train classes, the model 4"):
