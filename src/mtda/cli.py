@@ -32,6 +32,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from mtda.errors import ContractError, NumericError
 from mtda.geometry import index_table_payload, load_index_table, save_index_table
 from mtda.manifest import read_manifest, write_manifest
@@ -68,7 +70,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        resolved = args.handler(args, out) or {}
+        with np.errstate(all="ignore"):  # Tensor and run_tsne reject non-finite values with an error
+            resolved = args.handler(args, out) or {}
         flags = {k: v for k, v in vars(args).items() if k != "handler"}
         _write_json(out / "run.json", {**flags, **resolved})
         return 0

@@ -237,6 +237,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
         raise ContractError(f"{len(unlabeled)} source train rows have no scene label: {unlabeled[:3]}")
     if n_domains < 2:
         raise ContractError("need at least one source row and one target domain")
+    _check_device_groups(config.device_groups, rows)  # before training, not after it
 
     u_row = np.array([indices[r.device] for r in data.rows])
     src_all = np.flatnonzero(u_row == 0)
@@ -314,6 +315,7 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
     unknown = sorted({r.scene for r in data.rows} - set(data.classes))
     if unknown:
         raise ContractError(f"test scenes not among the train classes: {unknown}")
+    _check_device_groups(device_groups, rows)
     preds = predict(model, data.features)
 
     per_device = {}
@@ -325,12 +327,18 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
         }
     groups = {}
     for name, members in (device_groups or {}).items():
-        unknown = sorted(set(members) - set(per_device))
-        if unknown:
-            raise ContractError(f"device group {name} names devices with no test rows: {unknown}")
         accs = [per_device[d]["accuracy"] for d in members]
         groups[name] = float(np.average(accs, weights=[per_device[d]["count"] for d in members]))
     return ExperimentReport(per_device=per_device, groups=groups)
+
+
+def _check_device_groups(device_groups, rows):
+    """Each group member must be a device with test rows that `evaluate` can score."""
+    tested = {r.device for r in rows if r.split == "test" and r.feature_path}
+    for name, members in (device_groups or {}).items():
+        unknown = sorted(set(members) - tested)
+        if unknown:
+            raise ContractError(f"device group {name} names devices with no test rows: {unknown}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtda
 from mtda.checkpoint import load_tensors, save_tensors
 from mtda.cli import main
 from mtda.geometry import DomainEntry, save_index_table
@@ -64,6 +69,14 @@ class TestDispatch:
     def test_no_subcommand_exits_one(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy takes ~0.4 s to import; only ingest (scipy.signal) and t-SNE (scipy.spatial) load it, lazily
+        src = str(Path(mtda.__file__).resolve().parents[1])
+        code = "import sys, mtda.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_missing_required_argument_exits_one(self, capsys):
         assert main(["synth", "--out", "x"]) == 1
@@ -613,15 +626,22 @@ class TestMalformedTrainInputs:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "device group targets names devices with no test rows: ['Z']" in err and "Traceback" not in err
-        assert not (out / "run.json").exists()
+        # rejected before the first step: nothing trained, nothing written
+        for name in ("run.json", "checkpoint.mtda", "train_log.csv"):
+            assert not (out / name).exists()
 
     def test_diverging_training_exits_one(self, train_inputs, tmp_path, capsys):
         manifest, index, config = train_inputs
         out = tmp_path / "run"
-        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
-                     "--out", str(out), "--override", "learning_rate=1e30"]) == 1
+        # numpy's overflow warnings would reach stderr through the warnings module, which capsys does not see
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
+                         "--out", str(out), "--override", "learning_rate=1e30"]) == 1
         err = capsys.readouterr().err
         assert "non-finite values in tensor conv_relu_pool" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize(

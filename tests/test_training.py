@@ -1,5 +1,6 @@
 """Tests for the training harness, evaluation, sweeps, and exports."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,16 @@ class TestTrain:
         targets_only = [r for r in rows if r.device != "A"]
         with pytest.raises(ContractError):
             train(TrainConfig(**FAST), targets_only, INDEX_TABLE)
+
+    def test_unknown_group_device_rejected_before_training(self, small_dataset, monkeypatch):
+        _, rows = small_dataset
+        monkeypatch.setattr("mtda.training.forward", lambda *a, **k: pytest.fail("a step ran"))
+        cfg = TrainConfig(device_groups={"targets": ["B", "Z"]}, lambda_grid=(0.5, 1.0), **FAST)
+        message = "device group targets names devices with no test rows: ['Z']"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            train(cfg, rows, INDEX_TABLE)
+        results, best = sweep(cfg, rows, INDEX_TABLE)
+        assert best is None and [r["error"] for r in results] == [message, message]
 
 
 class TestEvaluate:

@@ -134,8 +134,13 @@ def _dense_sq_distances(x):
     return np.maximum(d, 0.0)
 
 
+def _dense_exact_sq_distances(y):
+    """The embedding's distances: the square of each coordinate's difference, summed."""
+    return sum(np.subtract.outer(c, c) ** 2 for c in y.T)
+
+
 def _dense_q(y):
-    num = 1.0 / (1.0 + _dense_sq_distances(y))
+    num = 1.0 / (1.0 + _dense_exact_sq_distances(y))
     np.fill_diagonal(num, 0.0)
     return np.maximum(num / num.sum(), 1e-12), num
 
@@ -155,7 +160,8 @@ def _dense_kl_gradient(p, y):
 class TestKernelsMatchDenseReference:
     """The in-place kernels give the dense expressions' bits: index.json and
     embeddings.csv are byte-compared, and t-SNE's descent turns any rounding
-    change into a different layout."""
+    change into a different layout. The descent's Q takes exact-difference
+    distances; `pairwise_sq_distances` keeps the Gram form for `affinities`."""
 
     @pytest.mark.parametrize("n", [7, 50, 300])
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
@@ -173,6 +179,21 @@ class TestKernelsMatchDenseReference:
     def test_distances_of_feature_vectors_bitwise(self, scale):
         x = np.random.default_rng(8).normal(scale=scale, size=(120, 64))  # the affinities input
         assert pairwise_sq_distances(x).tobytes() == _dense_sq_distances(x).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
+    def test_embedding_distances_closer_to_longdouble_than_gram(self, scale):
+        y = np.random.default_rng(9).normal(scale=scale, size=(300, 2))
+        yl = y.astype(np.longdouble)
+        oracle = ((yl[:, None, :] - yl[None, :, :]) ** 2).sum(axis=-1)
+        off = ~np.eye(len(y), dtype=bool)
+
+        def worst(d):
+            return (np.abs(d.astype(np.longdouble) - oracle)[off] / oracle[off]).max()
+
+        # test_bitwise pins the descent's kernels to this reference
+        exact = worst(_dense_exact_sq_distances(y))
+        assert exact <= worst(pairwise_sq_distances(y))
+        assert exact <= 3 * np.finfo(np.float64).eps  # a difference, a square and a sum, each rounded once
 
 
 class TestRunTsne:
