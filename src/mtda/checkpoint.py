@@ -3,10 +3,12 @@
 Layout (all integers little-endian):
 
     magic "MTDA" | format version u16 | tensor count u32
-    per tensor: name length u16 | UTF-8 name | dtype code u8 (0=f32, 1=f64)
+    per tensor: name length u16 | UTF-8 name | dtype code u8 (0=f32, 1=f64, 2=u8)
                 | rank u8 | dims u32[rank] | row-major payload
 
-Used for model checkpoints and for feature files.
+Used for feature files (one ``features`` tensor) and for model
+checkpoints: the float parameters by name plus ``meta/model``, a u8 vector
+holding the UTF-8 JSON record of the model config (`ModelConfig`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from mtda.errors import ContractError
 MAGIC = b"MTDA"
 FORMAT_VERSION = 1
 
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
+_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 MAX_RANK = 64  # numpy's own limit on array dimensions
 
 

@@ -29,6 +29,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -70,7 +71,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with np.errstate(all="ignore"):  # Tensor and run_tsne reject non-finite values with an error
+        with np.errstate(all="ignore"), warnings.catch_warnings():  # Tensor and run_tsne reject non-finite values
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             resolved = args.handler(args, out) or {}
         flags = {k: v for k, v in vars(args).items() if k != "handler"}
         _write_json(out / "run.json", {**flags, **resolved})
@@ -139,8 +141,6 @@ def cmd_index(args, out):
 def _config(cls, args):
     """The `cls` config of `--config`, with each `--override` and `--seed` applied."""
     payload = json.loads(Path(args.config).read_text())
-    if not isinstance(payload, dict):
-        raise ContractError(f"config {args.config} must be a JSON object, got {type(payload).__name__}")
     overrides = {}
     for pair in getattr(args, "override", ()):
         key, sep, value = pair.partition("=")

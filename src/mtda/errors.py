@@ -100,7 +100,9 @@ class Checked:
 
     @classmethod
     def from_dict(cls, payload: dict, overrides=None):
-        """`payload` holds JSON values; `overrides` holds strings, parsed by each field's kind."""
+        """`payload` is a JSON object; `overrides` holds strings, parsed by each field's kind."""
+        if not isinstance(payload, dict):
+            raise ContractError(f"{cls.__name__} must be a JSON object, got {type(payload).__name__}")
         known, overrides = {f.name: f for f in fields(cls)}, overrides or {}
         required = {n for n, f in known.items() if f.default is MISSING and f.default_factory is MISSING}
         unknown, missing = set(payload) - set(known), required - {*payload, *overrides}

@@ -20,14 +20,15 @@ domain loss; the reversal node realizes the sign flip in one backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from mtda import autodiff as ad
 from mtda import checkpoint
-from mtda.errors import ContractError, ShapeError
+from mtda.errors import Checked, ContractError, ShapeError, rule
 
 FEATURE_DIM = 64
 DISC_HIDDEN = 32
@@ -50,17 +51,15 @@ def head_width(mode: Mode, n_domains: int) -> int:
 
 
 @dataclass
-class ModelConfig:
-    n_classes: int
-    n_domains: int
-    mode: Mode
-    in_channels: int = 1
-    conv_channels: tuple = (4, 8)
+class ModelConfig(Checked):
+    n_classes: int = rule(int, ge=2)
+    n_domains: int = rule(int, ge=2)
+    mode: Mode = rule(str, among=tuple(m.value for m in Mode))
+    conv_channels: tuple = rule(tuple, (4, 8), item=int, size=2, ge=1)
 
     def __post_init__(self):
+        super().__post_init__()
         self.mode = Mode(self.mode)
-        if self.n_classes < 2 or self.n_domains < 2:
-            raise ContractError("need at least 2 classes and 2 domains")
 
 
 class AdversarialModel:
@@ -76,6 +75,8 @@ class AdversarialModel:
                 f"parameters {wrong} are missing, extra or misshapen: inconsistent with mode {config.mode.value}"
             )
         for name, arr in params.items():
+            if arr.dtype not in (np.float32, np.float64):
+                raise ContractError(f"parameter {name} must be float32 or float64, got {arr.dtype}")
             if not np.all(np.isfinite(arr)):
                 raise ContractError(f"non-finite parameter {name}")
 
@@ -94,22 +95,19 @@ class AdversarialModel:
         return cls(config, {k: np.zeros(s, dtype=dtype) if "/b" in k else glorot(*s) for k, s in shapes.items()})
 
     def save(self, path):
-        c = self.config
-        meta = [list(Mode).index(c.mode), c.n_classes, c.n_domains, c.in_channels, *c.conv_channels]
-        checkpoint.save_tensors(path, {"meta/config": np.array(meta, dtype=np.float64), **self.params})
+        record = json.dumps(asdict(self.config), sort_keys=True).encode("utf-8")
+        checkpoint.save_tensors(path, {"meta/model": np.frombuffer(record, dtype=np.uint8), **self.params})
 
     @classmethod
     def load(cls, path) -> "AdversarialModel":
         tensors = checkpoint.load_tensors(path)
-        meta = tensors.pop("meta/config", None)
-        if meta is None or meta.shape != (6,) or not all(float(v).is_integer() and v >= 0 for v in meta):
-            raise ContractError(f"{path}: not a model checkpoint (meta/config must hold 6 non-negative integers)")
-        mode, n_classes, n_domains, in_channels, c1, c2 = (int(v) for v in meta)
-        if mode >= len(Mode):
-            raise ContractError(f"{path}: unknown mode code {mode}")
-        try:
-            return cls(ModelConfig(n_classes, n_domains, list(Mode)[mode], in_channels, (c1, c2)), tensors)
-        except ContractError as exc:
+        record = tensors.pop("meta/model", None)
+        if record is None or record.dtype != np.uint8:
+            raise ContractError(f"{path}: not a model checkpoint: no uint8 meta/model config record"
+                                " (retrain a checkpoint from before the record from its run.json)")
+        try:  # bad UTF-8, bad JSON and a config or param the checker rejects are all ValueErrors
+            return cls(ModelConfig.from_dict(json.loads(record.tobytes().decode("utf-8"))), tensors)
+        except ValueError as exc:
             raise ContractError(f"{path}: {exc}") from None
 
 
@@ -118,7 +116,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     c1, c2 = config.conv_channels
     out = head_width(config.mode, config.n_domains)
     return {
-        "f/conv1": (c1, config.in_channels, 3, 3),
+        "f/conv1": (c1, 1, 3, 3),
         "f/conv2": (c2, c1, 3, 3),
         "f/w": (c2, FEATURE_DIM),
         "f/b": (FEATURE_DIM,),
@@ -142,12 +140,12 @@ class ForwardPass:
 
 
 def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> ForwardPass:
-    """Build the computation graph for a batch x of shape (n, c, h, w)."""
+    """Build the computation graph for a batch x of shape (n, h, w) or (n, 1, h, w)."""
     x = np.asarray(x)
     if x.ndim == 3:
         x = x[:, None, :, :]
-    if x.ndim != 4 or x.shape[1] != model.config.in_channels:
-        raise ShapeError("input must be (n, c, h, w) with matching channels", x.shape)
+    if x.ndim != 4 or x.shape[1] != 1:
+        raise ShapeError("input must be (n, h, w) or (n, 1, h, w)", x.shape)
     if min(x.shape[2:]) < 4:
         raise ShapeError("feature height and width must be at least 4 (two 2x2 pools)", x.shape)
     leaves = {name: ad.Tensor(arr, requires_grad=True, name=name) for name, arr in model.params.items()}

@@ -127,7 +127,10 @@ def load_dataset(rows, split="train") -> LoadedDataset:
 
 def _stack_features(rows):
     """Load each row's feature tensor and stack them; all must share one shape."""
-    feats = [checkpoint.load_tensors(r.feature_path)["features"] for r in rows]
+    feats = [checkpoint.load_tensors(r.feature_path).get("features") for r in rows]
+    missing = next((r.feature_path for r, f in zip(rows, feats) if f is None), None)
+    if missing:
+        raise ContractError(f"{missing}: not a feature file (no 'features' tensor)")
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
@@ -235,8 +238,6 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     unlabeled = [r.id for r in data.rows if r.device == source_device and not r.scene]
     if unlabeled:
         raise ContractError(f"{len(unlabeled)} source train rows have no scene label: {unlabeled[:3]}")
-    if n_domains < 2:
-        raise ContractError("need at least one source row and one target domain")
     _check_device_groups(config.device_groups, rows)  # before training, not after it
 
     u_row = np.array([indices[r.device] for r in data.rows])
@@ -249,15 +250,9 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     if len(src_train) == 0:
         raise ContractError("no source rows left after holdout split")
 
-    model = AdversarialModel.initialize(
-        ModelConfig(
-            n_classes=len(data.classes),
-            n_domains=n_domains,
-            mode=mode,
-            conv_channels=config.conv_channels,
-        ),
-        seed=config.seed,
-    )
+    # ModelConfig rejects a single class or domain
+    model_config = ModelConfig(len(data.classes), n_domains, mode, config.conv_channels)
+    model = AdversarialModel.initialize(model_config, seed=config.seed)
     optimizer = Adam(model.params, config.learning_rate)
 
     steps_per_epoch = max(1, len(src_train) // config.n_source)

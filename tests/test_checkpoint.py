@@ -52,12 +52,22 @@ def test_unsupported_dtype_rejected(tmp_path):
         save_tensors(tmp_path / "x.mtda", {"x": np.zeros(3, dtype=np.int32)})
 
 
+def _random(rng, dtype, dims):
+    """Normal floats, or uniform bytes for uint8."""
+    if dtype is np.uint8:
+        return rng.integers(0, 256, size=dims, dtype=np.uint8)
+    return rng.normal(size=dims).astype(dtype)
+
+
+DTYPES = st.sampled_from([np.float32, np.float64, np.uint8])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.dictionaries(
         st.text(min_size=1, max_size=20),
         st.tuples(
-            st.sampled_from([np.float32, np.float64]),
+            DTYPES,
             st.lists(st.integers(0, 4), min_size=0, max_size=3),
         ),
         max_size=4,
@@ -66,9 +76,7 @@ def test_unsupported_dtype_rejected(tmp_path):
 )
 def test_round_trip_property(tmp_path_factory, spec, seed):
     rng = np.random.default_rng(seed)
-    tensors = {
-        name: rng.normal(size=dims).astype(dtype) for name, (dtype, dims) in spec.items()
-    }
+    tensors = {name: _random(rng, dtype, dims) for name, (dtype, dims) in spec.items()}
     path = tmp_path_factory.mktemp("ckpt") / "t.mtda"
     save_tensors(path, tensors)
     loaded = load_tensors(path)
@@ -107,7 +115,7 @@ def _load_or_contract_error(path, expected):
     st.dictionaries(
         st.text(min_size=1, max_size=6),
         st.tuples(
-            st.sampled_from([np.float32, np.float64]),
+            DTYPES,
             st.lists(st.integers(0, 3), min_size=0, max_size=3),
         ),
         min_size=1,
@@ -117,7 +125,7 @@ def _load_or_contract_error(path, expected):
 )
 def test_malformed_bytes_end_in_contract_error(tmp_path_factory, spec, seed):
     rng = np.random.default_rng(seed)
-    tensors = {name: rng.normal(size=dims).astype(dtype) for name, (dtype, dims) in spec.items()}
+    tensors = {name: _random(rng, dtype, dims) for name, (dtype, dims) in spec.items()}
     path = tmp_path_factory.mktemp("ckpt") / "t.mtda"
     save_tensors(path, tensors)
     raw = path.read_bytes()

@@ -310,6 +310,16 @@ class TestTrainEval:
         assert lines[0] == "id,device,scene,y0,y1"
         assert len(lines) - 1 == 3 * 6
 
+    def test_library_warning_prints_as_one_line(self, train_inputs, checkpoint_path, tmp_path, capsys):
+        # every device has 24 rows, so asking for 30 warns once per device
+        manifest, _, _ = train_inputs
+        assert main(["export-embeddings", "--checkpoint", str(checkpoint_path), "--manifest", str(manifest),
+                     "--n-per-device", "30", "--tsne-iters", "60", "--out", str(tmp_path / "emb")]) == 0
+        err = capsys.readouterr().err
+        short = [line for line in err.splitlines() if "rows available" in line]
+        assert short == [f"warning: device {d}: only 24 rows available" for d in "ABC"]
+        assert ".py:" not in err and "RuntimeWarning" not in err
+
     def test_train_log_has_one_row_per_step(self, small_dataset, train_inputs, tmp_path):
         _, rows = small_dataset
         manifest, index, config = train_inputs
@@ -440,6 +450,16 @@ def _odd_test_shape(rows, tmp_path):
     return [replace(r, feature_path=str(odd)) if i == first_test else r for i, r in enumerate(rows)]
 
 
+def _checkpoint_as_features(rows, tmp_path):
+    container = tmp_path / "checkpoint.mtda"
+    save_tensors(container, {"f/w": np.zeros((4, 64), dtype=np.float32)})
+    return [replace(r, feature_path=str(container)) for r in rows]
+
+
+def _no_target_train_rows(rows, tmp_path):
+    return [r for r in rows if r.device == "A" or r.split == "test"]
+
+
 def _no_test_split(rows, tmp_path):
     return [r for r in rows if r.split != "test"]
 
@@ -468,21 +488,27 @@ class TestMalformedManifests:
             (_test_only_device, "train", 0, "E"),
             (_test_only_device, "eval", 0, "E"),
             (_no_parallel_target, "index", 1, "device C has no parallel data"),
-            (_single_class_source, "train", 1, "need at least 2 classes"),
+            (_single_class_source, "train", 1, "n_classes must be >= 2, got 1"),
+            (_no_target_train_rows, "train", 1, "n_domains must be >= 2, got 1"),
             (_unknown_test_scene, "eval", 1, "not among the train classes"),
             (_odd_test_shape, "eval", 1, "inconsistent feature shapes"),
             (_odd_test_shape, "export-embeddings", 1, "inconsistent feature shapes"),
             (_no_test_split, "eval", 1, "no test rows"),
+            (_checkpoint_as_features, "train", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
+            (_checkpoint_as_features, "eval", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
         ],
         ids=[
             "test-only-device-train",
             "test-only-device-eval",
             "no-parallel-target-index",
             "single-class-source-train",
+            "no-target-train-rows-train",
             "unknown-test-scene-eval",
             "odd-test-shape-eval",
             "odd-test-shape-export",
             "no-test-split-eval",
+            "checkpoint-as-features-train",
+            "checkpoint-as-features-eval",
         ],
     )
     def test_exit_code_and_message(
@@ -526,7 +552,7 @@ class TestMalformedManifests:
         err = capsys.readouterr().err
         assert "feature height and width must be at least 4 (two 2x2 pools)" in err
         assert ", 1, 3, 64]" in err
-        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err and "warning:" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -640,7 +666,7 @@ class TestMalformedTrainInputs:
                          "--out", str(out), "--override", "learning_rate=1e30"]) == 1
         err = capsys.readouterr().err
         assert "non-finite values in tensor conv_relu_pool" in err and "Traceback" not in err
-        assert "RuntimeWarning" not in err
+        assert "RuntimeWarning" not in err and "warning:" not in err
         assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "run.json").exists()
 
@@ -674,18 +700,42 @@ class TestMalformedTrainInputs:
 
 
 
+def _with_record(tensors, record: bytes):
+    return {**tensors, "meta/model": np.frombuffer(record, dtype=np.uint8)}
+
+
+def _with_fields(tensors, **fields):
+    """`tensors` with the given fields of its meta/model config record replaced or added."""
+    return _with_record(tensors, json.dumps({**json.loads(tensors["meta/model"].tobytes()), **fields}).encode())
+
+
+def _old_layout(tensors):
+    """The float64 meta/config vector that checkpoints held before the config record: mode code 2 is mtda-c2."""
+    params = {k: v for k, v in tensors.items() if k != "meta/model"}
+    return {"meta/config": np.array([2, 3, 3, 1, 2, 4], dtype=np.float64), **params}
+
+
 class TestMalformedCheckpoints:
-    """A file that is not a checkpoint of the model its meta/config describes exits 1, naming the file."""
+    """A file that is not a checkpoint of the model its meta/model record describes exits 1, naming the file."""
 
     @pytest.mark.parametrize(
         "mutate, expect",
         [
             (None, "not a model checkpoint"),  # a feature file
-            (lambda t: {**t, "meta/config": t["meta/config"][:4]}, "not a model checkpoint"),
-            (lambda t: {**t, "meta/config": np.r_[7.0, t["meta/config"][1:]]}, "unknown mode code 7"),
+            (_old_layout, "not a model checkpoint: no uint8 meta/model config record (retrain a checkpoint from"
+                          " before the record from its run.json)"),
+            (lambda t: _with_record(t, b"\xff\xfe"), "'utf-8' codec can't decode byte 0xff in position 0"),
+            (lambda t: _with_record(t, b"5"), "ModelConfig must be a JSON object, got int"),
+            (lambda t: _with_fields(t, colour=1), "ModelConfig: unknown keys ['colour'], missing keys []"),
+            (lambda t: _with_fields(t, mode="dbnn"),
+             "mode must be one of ('dann', 'mtda-c1', 'mtda-c2', 'mtda-r'), got 'dbnn'"),
+            (lambda t: _with_fields(t, n_classes=1), "n_classes must be >= 2, got 1"),
+            (lambda t: {**t, "f/w": np.zeros_like(t["f/w"], dtype=np.uint8)},
+             "parameter f/w must be float32 or float64, got uint8"),
             (lambda t: {k: v for k, v in t.items() if k != "c/w"}, "parameters ['c/w'] are missing"),
         ],
-        ids=["feature-file", "meta-of-4", "mode-code-7", "no-classifier-weights"],
+        ids=["feature-file", "old-float64-layout", "non-utf8-record", "record-5", "unknown-key", "mode-dbnn",
+             "one-class", "uint8-weights", "no-classifier-weights"],
     )
     def test_eval_exits_one(self, mutate, expect, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys):
         _, rows = small_dataset

@@ -1,9 +1,12 @@
 """Tests for the adversarial model, its losses, and the discriminator oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mtda import autodiff as ad
+from mtda.checkpoint import load_tensors, save_tensors
 from mtda.errors import ContractError, ShapeError
 from mtda.models import (
     AdversarialModel,
@@ -295,6 +298,33 @@ class TestSerialization:
         loaded = AdversarialModel.load(tmp_path / "m.mtda")
         x = RNG.normal(size=(2, 1, 16, 16))
         np.testing.assert_array_equal(forward(model, x).y_pred.value, forward(loaded, x).y_pred.value)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_mutated_record_fails_cleanly_or_loads_the_same(self, tmp_path, mode):
+        """Every truncation and single-bit flip of the meta/model record ends in a ContractError
+        naming the file, or loads the saved config and param shapes."""
+        model = AdversarialModel.initialize(ModelConfig(3, 4, mode, (2, 4)), seed=0)
+        path, bad = tmp_path / "m.mtda", tmp_path / "bad.mtda"
+        model.save(path)
+        tensors = load_tensors(path)
+        record = tensors["meta/model"].tobytes()
+        flips = [record[:i] + bytes([record[i] ^ 1 << bit]) + record[i + 1 :]
+                 for i in range(len(record)) for bit in range(8)]
+        shapes = {k: v.shape for k, v in model.params.items()}
+        for mutant in [record[:n] for n in range(len(record))] + flips:
+            save_tensors(bad, {**tensors, "meta/model": np.frombuffer(mutant, dtype=np.uint8)})
+            try:
+                loaded = AdversarialModel.load(bad)
+            except ContractError as exc:
+                assert str(exc).startswith(f"{bad}: ")
+                continue
+            config = loaded.config
+            if head_width(mode, 2) == head_width(mode, 3):
+                # the dann and mtda-r heads' width ignores n_domains, so a flipped digit of it loads as
+                # another count >= 2; every parameter and every output stays the same
+                config = replace(config, n_domains=model.config.n_domains)
+            assert config == model.config
+            assert {k: v.shape for k, v in loaded.params.items()} == shapes
 
 
 class TestBatch:
