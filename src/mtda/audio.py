@@ -10,6 +10,7 @@ natural log with additive floor 1e-10. A 10 s clip yields 638 x 64 frames.
 from __future__ import annotations
 
 import hashlib
+import io
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,9 +112,12 @@ def logmel(clip: AudioClip) -> FeatureTensor:
     return FeatureTensor(frames=np.log(mel + LOG_FLOOR))
 
 
-def load_wav(path) -> AudioClip:
-    """Read 16-bit PCM RIFF WAV; stereo is downmixed by channel averaging."""
-    with wave.open(str(path), "rb") as wf:
+def load_wav(path, payload=None) -> AudioClip:
+    """Read 16-bit PCM RIFF WAV; stereo is downmixed by channel averaging.
+
+    `payload` is the file's bytes when the caller has read them already;
+    `path` then only names the file in errors."""
+    with wave.open(str(path) if payload is None else io.BytesIO(payload), "rb") as wf:
         if wf.getsampwidth() != 2:
             raise ContractError(f"{path}: only 16-bit PCM WAV is supported")
         rate = wf.getframerate()
@@ -139,8 +143,9 @@ def ingest(rows, out_dir) -> IngestResult:
     """Extract features for every manifest row; content-addressed, so reruns skip.
 
     Output names embed a hash of the source bytes and frontend parameters;
-    an up-to-date output file is never rewritten. Per-row failures are
-    recorded and do not abort the batch.
+    an up-to-date output file is never rewritten. Each file is read once and
+    the bytes hashed are the bytes decoded, so a name always matches its
+    features' source. Per-row failures are recorded and do not abort the batch.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,7 +158,7 @@ def ingest(rows, out_dir) -> IngestResult:
             ).hexdigest()[:16]
             feature_path = out_dir / f"{row.id}_{digest}.mtt"
             if not feature_path.exists():
-                clip = resample(load_wav(row.path))
+                clip = resample(load_wav(row.path, payload))
                 feat = logmel(clip)
                 checkpoint.save_tensors(feature_path, {"features": feat.frames})
             updated.append(row.with_feature(feature_path))

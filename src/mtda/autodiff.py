@@ -10,9 +10,16 @@ The conv is a shifted-slice GEMM: the 9 shifted slices of the zero-padded
 input form a column matrix that one matmul with the flattened kernel turns
 into the output. Backward rebuilds the columns (they are not kept in the
 graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
+The columns exist one batch chunk at a time, about CHUNK_BYTES each: a
+whole-batch column matrix is 9x the input (47 MB at batch 32 of 638x64 audio
+features, built again in backward and once more as the dx columns), and its
+cost is memory traffic, not arithmetic. Chunking keeps every bit: numpy's
+stacked matmul already runs one GEMM per sample, dK is still the sum of the
+whole per-sample stack, and col2im adds the 9 offsets in the same order.
 Pooling sums four strided slices. `conv_relu_pool` runs a model block (conv,
-relu, pool) as one node with the same bits: relu works in place and only the
-pooled value enters the graph, sparing two full-size activations and copies.
+relu, pool) as one node with the same bits, chunk by chunk: only the pooled
+value and the bool relu mask are kept for the whole batch, and its backward
+unpools, masks and scatters one chunk at a time.
 Its relu is two branch-free passes, ``act *= mask`` then ``act += 0.0``: a
 masked write branches on every element and cost more than the conv GEMM, and
 adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
@@ -152,11 +159,24 @@ def dense(x, w, b):
     return _node(out_val, (x, w, b), backward, name="dense")
 
 
+# A batch chunk's column matrix takes about this many bytes; a chunk holds at least one sample.
+CHUNK_BYTES = 1 << 20
+
+
+def _chunks(x):
+    """Slices of x's batch, in order, each holding as many samples as fit a
+    CHUNK_BYTES column matrix (at least one)."""
+    n, c, h, w = x.shape
+    step = max(1, CHUNK_BYTES // (c * 9 * h * w * x.dtype.itemsize))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def _columns(x):
     """(n,c,h,w) -> (n, c*9, h*w): the 9 shifted slices of the zero-padded
     input, ordered (channel, row offset, col offset) like ``k.reshape(f, c*9)``."""
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)  # np.pad costs more than a chunk's copies
+    xp[:, :, 1:-1, 1:-1] = x
     cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
     for p in range(3):
         for q in range(3):
@@ -164,41 +184,60 @@ def _columns(x):
     return cols.reshape(n, c * 9, h * w)
 
 
-def _conv(x, k, op):
-    """Shape-check a 3x3 conv of Tensors x, k and return its (n, f, h, w) value."""
+def _check_conv(x, k, op):
+    """Shape-check a 3x3 conv of Tensors x, k and return the dtype of its value."""
     if x.value.ndim != 4 or k.value.ndim != 4:
         raise ShapeError(f"{op} expects rank-4 input and kernel", x.shape, k.shape)
     if k.shape[2:] != (3, 3):
         raise ShapeError(f"{op} kernel must be 3x3", k.shape)
     if x.shape[1] != k.shape[1]:
         raise ShapeError(f"{op} channel mismatch", x.shape, k.shape)
-    n, c, h, w = x.shape
-    return (k.value.reshape(k.shape[0], c * 9) @ _columns(x.value)).reshape(n, k.shape[0], h, w)
+    return np.result_type(x.value.dtype, k.value.dtype)
 
 
-def _conv_backward(x, k, g):
-    """Accumulate dK and dx (each only if needed) of the conv of x and k from
-    its output adjoint g. The columns are rebuilt: held in the closure they
-    would cost 9x the input's memory per conv until the backward sweep ends."""
+def _conv(x, k):
+    """The (m, f, h, w) conv of a batch chunk x with kernel k (arrays): one GEMM per sample."""
+    (m, c, h, w), f = x.shape, k.shape[0]
+    return (k.reshape(f, c * 9) @ _columns(x)).reshape(m, f, h, w)
+
+
+def _conv_backward(x, k, g, adjoint):
+    """Accumulate dK and dx (each only if needed) of the conv of x and k, one
+    batch chunk at a time; ``adjoint(s)`` is the conv output's adjoint on the
+    chunk s, with the dtype of g. Each chunk's columns are rebuilt: kept from
+    forward they would cost 9x the input per conv until the sweep ends. dK is
+    the sum over the whole per-sample stack, as a sum of per-chunk sums would
+    round differently."""
     (n, c, h, w), f = x.shape, k.shape[0]
-    g2 = g.reshape(n, f, h * w)
+    kt = k.value.reshape(f, c * 9).T
     if k.requires_grad:
-        dk = (g2 @ _columns(x.value).transpose(0, 2, 1)).sum(axis=0)
-        _accum(k, dk.reshape(k.shape))
+        dk = np.empty((n, f, c * 9), dtype=np.result_type(g.dtype, x.value.dtype))
     if x.requires_grad:
-        # col2im: each column row adds back onto the slice it came from.
-        dcols = (k.value.reshape(f, c * 9).T @ g2).reshape(n, c, 3, 3, h, w)
-        dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
-        for p in range(3):
-            for q in range(3):
-                dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
+        dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(kt.dtype, g.dtype))
+    for s in _chunks(x.value):
+        g2 = adjoint(s).reshape(-1, f, h * w)
+        if k.requires_grad:
+            dk[s] = g2 @ _columns(x.value[s]).transpose(0, 2, 1)
+        if x.requires_grad:
+            # col2im: each column row adds back onto the slice it came from.
+            dcols = (kt @ g2).reshape(-1, c, 3, 3, h, w)
+            for p in range(3):
+                for q in range(3):
+                    dxp[s, :, p : p + h, q : q + w] += dcols[:, :, p, q]
+    if k.requires_grad:
+        _accum(k, dk.sum(axis=0).reshape(k.shape))
+    if x.requires_grad:
         _accum(x, dxp[:, :, 1:-1, 1:-1])
 
 
 def conv2d(x, k):
     """3x3 cross-correlation, stride 1, zero padding 1; same spatial dims."""
     x, k = _as_tensor(x), _as_tensor(k)
-    return _node(_conv(x, k, "conv2d"), (x, k), lambda g: _conv_backward(x, k, g), name="conv2d")
+    dtype = _check_conv(x, k, "conv2d")
+    out = np.empty((x.shape[0], k.shape[0]) + x.shape[2:], dtype=dtype)
+    for s in _chunks(x.value):
+        out[s] = _conv(x.value[s], k.value)
+    return _node(out, (x, k), lambda g: _conv_backward(x, k, g, lambda s: g[s]), name="conv2d")
 
 
 def relu(x):
@@ -241,19 +280,28 @@ def avg_pool2(x):
 def conv_relu_pool(x, k):
     """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit; backward keeps only the relu mask."""
     x, k = _as_tensor(x), _as_tensor(k)
-    act = _conv(x, k, "conv_relu_pool")
-    if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
-        raise NumericError("non-finite values in tensor conv_relu_pool")
-    mask = act > 0
-    act *= mask  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
-    act += 0.0  # ... and -0.0 + 0.0 is +0.0, exactly what relu's np.where writes
+    dtype = _check_conv(x, k, "conv_relu_pool")
+    (n, _, h, w), f = x.shape, k.shape[0]
+    out = np.empty((n, f, h // 2, w // 2), dtype=dtype)
+    mask = np.empty((n, f, h, w), dtype=bool)
+    for s in _chunks(x.value):
+        act = _conv(x.value[s], k.value)
+        if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
+            raise NumericError("non-finite values in tensor conv_relu_pool")
+        mask[s] = act > 0
+        act *= mask[s]  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
+        act += 0.0  # ... and -0.0 + 0.0 is +0.0, exactly what relu's np.where writes
+        out[s] = _pool(act)
 
     def backward(g):
-        dact = _unpool(g, mask)
-        dact *= mask
-        _conv_backward(x, k, dact)
+        def adjoint(s):
+            dact = _unpool(g[s], mask[s])
+            dact *= mask[s]
+            return dact
 
-    return _node(_pool(act), (x, k), backward, name="conv_relu_pool")
+        _conv_backward(x, k, g, adjoint)
+
+    return _node(out, (x, k), backward, name="conv_relu_pool")
 
 
 def global_avg_pool(x):

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError, NumericError
+from mtda.errors import ContractError, NumericError, read_json
 from mtda.geometry import index_table_payload, load_index_table, save_index_table
 from mtda.manifest import read_manifest, write_manifest
 from mtda.models import AdversarialModel
@@ -140,7 +140,7 @@ def cmd_index(args, out):
 
 def _config(cls, args):
     """The `cls` config of `--config`, with each `--override` and `--seed` applied."""
-    payload = json.loads(Path(args.config).read_text())
+    payload = read_json(args.config)
     overrides = {}
     for pair in getattr(args, "override", ()):
         key, sep, value = pair.partition("=")

@@ -1,10 +1,12 @@
 """Error taxonomy shared across the package, and the one field checker.
 
 Exit-code mapping in the CLI: ContractError / ShapeError / NumericError -> 1,
-OS-level failures -> 2. `check` alone decides whether a value read from a
-config file, an ``--override`` string or an index table has its field's kind
-and bounds; config fields declare those once, with `rule`, and `Checked`
-applies them to every config built and every override string parsed.
+OS-level failures -> 2. `read_json` reads every JSON input file, so a file
+that does not parse is an error naming it. `check` alone decides whether a
+value read from a config file, an ``--override`` string or an index table has
+its field's kind and bounds; config fields declare those once, with `rule`,
+and `Checked` applies them to every config built and every override string
+parsed.
 """
 
 import json
@@ -12,6 +14,7 @@ import numbers
 import operator
 import sys
 from dataclasses import MISSING, field, fields
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -29,6 +32,14 @@ class ContractError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced NaN/Inf where finite values are required."""
+
+
+def read_json(path):
+    """The JSON value in file `path`; a file that is not UTF-8 or not JSON is a ContractError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ContractError(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "bool", str: "a string",

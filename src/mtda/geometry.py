@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError, check
+from mtda.errors import ContractError, check, read_json
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def save_index_table(table: DomainIndexTable, path) -> None:
 
 
 def load_index_table(path) -> DomainIndexTable:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ContractError(f"index table {path} must be a JSON object keyed by device")
     table = {}

@@ -1,5 +1,7 @@
 """Tests for the log-mel frontend."""
 
+import builtins
+import io
 import wave
 
 import numpy as np
@@ -145,6 +147,22 @@ class TestIngest:
         second = ingest(rows, out)
         assert second.rows[0].feature_path == feature_file
         assert os.stat(feature_file).st_mtime_ns == stamp
+
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / f"{i}.wav" for i in range(2)]
+        for i, path in enumerate(paths):
+            write_wav(path, 0.1 * (i + 1) * np.sin(np.linspace(0, 100, 16000)), 16000)
+        rows = [ManifestRow(id=f"r{i}", path=str(p), device="A", scene="park") for i, p in enumerate(paths)]
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)  # wave.open(str)
+        monkeypatch.setattr(io, "open", counting_open)  # Path.read_bytes
+        assert ingest(rows, tmp_path / "feat").ok
+        assert sorted(name for name in opened if name.endswith(".wav")) == sorted(map(str, paths))
 
     def test_stereo_downmix(self, tmp_path):
         left = np.full(32000, 0.5)

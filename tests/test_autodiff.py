@@ -1,5 +1,7 @@
 """Unit and gradient tests for the autodiff op set."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,92 @@ class TestConvReluPool:
             return out.value.tobytes(), xt.grad.tobytes(), kt.grad.tobytes()
 
         assert run(ad.conv_relu_pool) == run(lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))
+
+
+def _whole_batch_columns(x):
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
+    for p in range(3):
+        for q in range(3):
+            cols[:, :, p, q] = xp[:, :, p : p + h, q : q + w]
+    return cols.reshape(n, c * 9, h * w)
+
+
+def one_shot_conv2d(x, k):
+    """The conv node the chunked ops must match bit for bit: one whole-batch
+    column matrix, one matmul, and one whole-batch col2im."""
+    (n, c, h, w), f = x.shape, k.shape[0]
+
+    def backward(g):
+        g2 = g.reshape(n, f, h * w)
+        if k.requires_grad:
+            ad._accum(k, (g2 @ _whole_batch_columns(x.value).transpose(0, 2, 1)).sum(axis=0).reshape(k.shape))
+        if x.requires_grad:
+            dcols = (k.value.reshape(f, c * 9).T @ g2).reshape(n, c, 3, 3, h, w)
+            dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+            for p in range(3):
+                for q in range(3):
+                    dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
+            ad._accum(x, dxp[:, :, 1:-1, 1:-1])
+
+    value = (k.value.reshape(f, c * 9) @ _whole_batch_columns(x.value)).reshape(n, f, h, w)
+    return ad._node(value, (x, k), backward, name="conv2d")
+
+
+class TestBatchChunks:
+    """The conv ops run over batch chunks of about ad.CHUNK_BYTES of columns each."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-const", "x-grad"])
+    @pytest.mark.parametrize(
+        "chunked, reference",
+        [
+            (ad.conv2d, one_shot_conv2d),
+            (ad.conv_relu_pool, lambda xt, kt: ad.avg_pool2(ad.relu(one_shot_conv2d(xt, kt)))),
+        ],
+        ids=["conv2d", "conv_relu_pool"],
+    )
+    # chunks of 7 (float32) and 3 (float64) samples leave a ragged last chunk at n=34 and n=10
+    @pytest.mark.parametrize(
+        "shape, f", [((34, 1, 64, 64), 4), ((10, 4, 32, 32), 8), ((3, 1, 638, 64), 4)], ids=["desk-1", "desk-2", "audio-1"]
+    )
+    def test_bits_equal_one_shot_reference(self, shape, f, chunked, reference, x_grad, dtype):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=shape).astype(dtype)
+        k = rng.normal(size=(f, shape[1], 3, 3)).astype(dtype)
+        sizes = [len(x[s]) for s in ad._chunks(x)]
+        assert len(sizes) > 1 and sum(sizes) == shape[0]
+
+        def run(block):
+            xt = ad.Tensor(x.copy(), requires_grad=x_grad)
+            kt = ad.Tensor(k.copy(), requires_grad=True)
+            out = block(xt, kt)
+            target = np.random.default_rng(18).normal(size=out.shape).astype(dtype)
+            ad.backward(ad.mse_loss(out, target))
+            assert out.value.dtype == kt.grad.dtype == dtype
+            return out.value.tobytes(), kt.grad.tobytes(), None if xt.grad is None else xt.grad.tobytes()
+
+        got, want = run(chunked), run(reference)
+        assert (got[2] is None) == (not x_grad)
+        assert got == want
+
+    def test_audio_block_never_holds_a_whole_batch_column_matrix(self):
+        # The model's first block at the 10 s log-mel shape: the data batch needs no gradient.
+        (n, c, h, w), f = (32, 1, 638, 64), 4
+        rng = np.random.default_rng(3)
+        x = ad.Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32))
+        k = ad.Tensor(rng.normal(size=(f, c, 3, 3)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(n, f, h // 2, w // 2)).astype(np.float32)
+        whole_batch_columns = n * c * 9 * h * w * 4  # 47 MB
+        tracemalloc.start()
+        try:
+            ad.conv_relu_pool(x, k)._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.grad is not None
+        assert peak < whole_batch_columns / 2, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestSoftmaxCrossEntropy:

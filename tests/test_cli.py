@@ -698,6 +698,20 @@ class TestMalformedTrainInputs:
         assert not (out / "checkpoint.mtda").exists()
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--index"])
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    def test_unparsable_file_is_named(self, flag, content, train_inputs, tmp_path, capsys):
+        manifest, index, config = train_inputs
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        inputs = {"--config": config, "--index": index, flag: bad}
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out),
+                     *(arg for pair in inputs.items() for arg in map(str, pair))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not a UTF-8 JSON file: ") and "Traceback" not in err
+        assert not (out / "run.json").exists()
+
 
 
 def _with_record(tensors, record: bytes):
