@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +152,8 @@ def ingest(rows, out_dir) -> IngestResult:
     updated, errors = [], []
     for row in rows:
         try:
+            if not row.path:
+                raise ContractError("no WAV path")
             payload = Path(row.path).read_bytes()
             digest = hashlib.sha256(
                 payload + f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}".encode()
@@ -160,8 +162,8 @@ def ingest(rows, out_dir) -> IngestResult:
             if not feature_path.exists():
                 clip = resample(load_wav(row.path, payload))
                 feat = logmel(clip)
-                checkpoint.save_tensors(feature_path, {"features": feat.frames})
-            updated.append(row.with_feature(feature_path))
+                checkpoint.save_features(feature_path, feat.frames)
+            updated.append(replace(row, feature_path=str(feature_path)))
         except (ContractError, wave.Error, EOFError, OSError, ValueError) as exc:
             errors.append((row.id, str(exc)))
             updated.append(row)

@@ -71,14 +71,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __mul__(self, other):
-        return scale(self, other)
-
     def __rmul__(self, other):
         return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _as_tensor(x):
@@ -353,8 +347,8 @@ def softmax_cross_entropy(logits, onehot, weights):
     Gradient flows to `logits` only; `onehot` and `weights` are data.
     """
     logits = _as_tensor(logits)
-    y = _check_onehot(onehot.value if isinstance(onehot, Tensor) else onehot)
-    w = np.asarray(weights.value if isinstance(weights, Tensor) else weights, dtype=float)
+    y = _check_onehot(onehot)
+    w = np.asarray(weights, dtype=float)
     if logits.value.ndim != 2 or y.shape != logits.value.shape:
         raise ShapeError("logits/onehot shape mismatch", logits.shape, y.shape)
     if w.shape != (logits.shape[0],):
@@ -376,7 +370,7 @@ def softmax_cross_entropy(logits, onehot, weights):
 def mse_loss(pred, target):
     """Sum of squared differences per sample; rank>=2 inputs mean over axis 0."""
     pred = _as_tensor(pred)
-    t = np.asarray(target.value if isinstance(target, Tensor) else target, dtype=float)
+    t = np.asarray(target, dtype=float)
     if pred.value.shape != t.shape:
         raise ShapeError("mse operand shapes differ", pred.shape, t.shape)
     diff = pred.value - t

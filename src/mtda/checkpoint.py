@@ -6,9 +6,9 @@ Layout (all integers little-endian):
     per tensor: name length u16 | UTF-8 name | dtype code u8 (0=f32, 1=f64, 2=u8)
                 | rank u8 | dims u32[rank] | row-major payload
 
-Used for feature files (one ``features`` tensor) and for model
-checkpoints: the float parameters by name plus ``meta/model``, a u8 vector
-holding the UTF-8 JSON record of the model config (`ModelConfig`).
+Feature files hold one ``features`` tensor and go only through `save_features`
+and `load_features`. Checkpoints hold the float parameters by name plus
+``meta/model``, a u8 vector of the UTF-8 JSON record of `ModelConfig`.
 """
 
 from __future__ import annotations
@@ -84,3 +84,20 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if offset != len(data):
         raise ContractError(f"{path}: {len(data) - offset} trailing bytes at byte {offset}")
     return out
+
+
+def save_features(path, frames) -> None:
+    """Write one clip's (time, bands) frames as a feature file."""
+    save_tensors(path, {"features": frames})
+
+
+def load_features(paths) -> np.ndarray:
+    """The frames of each feature file in `paths`, stacked; all must share one shape."""
+    feats = [load_tensors(p).get("features") for p in paths]
+    missing = next((p for p, f in zip(paths, feats) if f is None), None)
+    if missing:
+        raise ContractError(f"{missing}: not a feature file (no 'features' tensor)")
+    shapes = {f.shape for f in feats}
+    if len(shapes) != 1:
+        raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
+    return np.stack(feats)

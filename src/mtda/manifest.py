@@ -9,7 +9,11 @@ row has no parallel counterpart.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import io
+from dataclasses import dataclass
+from pathlib import Path
+
+from mtda.errors import ContractError
 
 HEADER = ["id", "path", "scene", "device", "parallel_group", "split", "feature_path"]
 
@@ -24,21 +28,37 @@ class ManifestRow:
     split: str = "train"
     feature_path: str = ""
 
-    def with_feature(self, feature_path):
-        return replace(self, feature_path=str(feature_path))
-
 
 def read_manifest(path) -> list[ManifestRow]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"manifest {path} missing columns: {sorted(missing)}")
-        return [ManifestRow(**{k: row[k] for k in HEADER}) for row in reader]
+    """The rows of a UTF-8 manifest; blank lines are skipped, and a row that is
+    not UTF-8, has another field count than the header, or has a split other
+    than train or test is a ContractError naming the file and its line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise ContractError(f"{path}: line {line} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    missing = set(HEADER) - set(header)
+    if missing:
+        raise ValueError(f"manifest {path} missing columns: {sorted(missing)}")
+    rows = []
+    for fields in reader:
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise ContractError(f"{path}: line {reader.line_num} has {len(fields)} fields, the header {len(header)}")
+        row = ManifestRow(**{k: v for k, v in zip(header, fields) if k in HEADER})
+        if row.split not in ("train", "test"):
+            raise ContractError(f"{path}: line {reader.line_num} has split {row.split!r}, not train or test")
+        rows.append(row)
+    return rows
 
 
 def write_manifest(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
         writer.writerows([getattr(r, k) for k in HEADER] for r in rows)

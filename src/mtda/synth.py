@@ -173,7 +173,7 @@ def make_dataset(config: SynthConfig, out_dir) -> list[ManifestRow]:
 
                 row_id = f"{profile.device_id}_c{class_id}_s{sample_idx}"
                 feature_path = feat_dir / f"{row_id}.mtt"
-                checkpoint.save_tensors(feature_path, {"features": feat})
+                checkpoint.save_features(feature_path, feat)
 
                 labeled = device_pos == 0 or split == "test"
                 group = ""

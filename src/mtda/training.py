@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from mtda import autodiff as ad
-from mtda import checkpoint
+from mtda.checkpoint import load_features
 from mtda.errors import Checked, ContractError, NumericError, check, rule
 from mtda.geometry import (
     DomainIndexTable,
@@ -117,24 +117,12 @@ def load_dataset(rows, split="train") -> LoadedDataset:
     position = {scene: k for k, scene in enumerate(classes)}
     return LoadedDataset(
         rows=rows,
-        features=_stack_features(rows),
+        features=load_features([r.feature_path for r in rows]),
         classes=classes,
         devices=sorted({r.device for r in rows}),
         labels=np.array([position.get(r.scene, -1) for r in rows]),
         row_devices=np.array([r.device for r in rows]),
     )
-
-
-def _stack_features(rows):
-    """Load each row's feature tensor and stack them; all must share one shape."""
-    feats = [checkpoint.load_tensors(r.feature_path).get("features") for r in rows]
-    missing = next((r.feature_path for r, f in zip(rows, feats) if f is None), None)
-    if missing:
-        raise ContractError(f"{missing}: not a feature file (no 'features' tensor)")
-    shapes = {f.shape for f in feats}
-    if len(shapes) != 1:
-        raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
-    return np.stack(feats)
 
 
 def _source_device(rows):
@@ -152,22 +140,24 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
     """Joint t-SNE over time-averaged features, mean parallel-pair distances,
     then rank-based indices. Recomputed per experiment (the embedding is
     stochastic); persist the result next to the run for reproducibility."""
-    data = load_dataset(rows)
-    source_device = _source_device(data.rows)
+    rows = [r for r in rows if r.split == "train" and r.feature_path]
+    if not rows:
+        raise ContractError("manifest has no train rows with extracted features")
+    source_device = _source_device(rows)
+    devices = sorted({r.device for r in rows})
     rng = np.random.default_rng(seed)
     keep = []
-    for device in data.devices:
-        idx = np.flatnonzero(data.row_devices == device)
+    for device in devices:
+        idx = [i for i, r in enumerate(rows) if r.device == device]
         # parallel rows must survive subsampling; they carry the signal
-        parallel = [i for i in idx if data.rows[i].parallel_group]
-        rest = [i for i in idx if not data.rows[i].parallel_group]
+        parallel = [i for i in idx if rows[i].parallel_group]
+        rest = [i for i in idx if not rows[i].parallel_group]
         budget = max(0, max_rows_per_device - len(parallel))
         if len(rest) > budget:
             rest = list(rng.choice(rest, size=budget, replace=False))
         keep.extend(parallel + rest)
-    keep = sorted(keep)
-    rows_kept = [data.rows[i] for i in keep]
-    vectors = data.features[keep].mean(axis=1)  # time-average to 64-d
+    rows_kept = [rows[i] for i in sorted(keep)]
+    vectors = load_features([r.feature_path for r in rows_kept]).mean(axis=1)  # time-average to 64-d
 
     # Large perplexity + mild exaggeration keep inter-cluster distances more
     # faithful, which is what the pair distances measure.
@@ -176,7 +166,7 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
         TsneConfig(iters=tsne_iters, seed=seed, perplexity=min(30.0, len(vectors) / 2.0), exaggeration=4.0),
     )
     distances = {}
-    for device in data.devices:
+    for device in devices:
         if device == source_device:
             continue
         pairs = pairs_from_embedding(emb.points, rows_kept, device, source_device)
@@ -356,7 +346,7 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, seed=0, tsne_
         else:
             picks = rng.choice(len(pool), size=n_per_device, replace=False)
             chosen.extend(pool[i] for i in picks)
-    z = np.concatenate([fwd.z.value for fwd in _inference(model, _stack_features(chosen))])
+    z = np.concatenate([fwd.z.value for fwd in _inference(model, load_features([r.feature_path for r in chosen]))])
     emb = run_tsne(z, TsneConfig(iters=tsne_iters, seed=seed))
     return emb, chosen
 

@@ -1,5 +1,6 @@
 """Round-trip and format tests for the binary tensor container."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtda.checkpoint import FORMAT_VERSION, MAGIC, load_tensors, save_tensors
+from mtda.checkpoint import FORMAT_VERSION, MAGIC, load_features, load_tensors, save_features, save_tensors
 from mtda.errors import ContractError
 
 
@@ -24,6 +25,31 @@ def test_round_trip(tmp_path):
     for name, arr in tensors.items():
         assert loaded[name].dtype == arr.dtype
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_feature_files_round_trip(tmp_path):
+    frames = np.random.default_rng(1).normal(size=(5, 64)).astype(np.float32)
+    paths = [tmp_path / "a.mtt", tmp_path / "b.mtt"]
+    for k, path in enumerate(paths):
+        save_features(path, frames + k)
+    loaded = load_features(paths)
+    assert loaded.dtype == np.float32 and loaded.shape == (2, 5, 64)
+    np.testing.assert_array_equal(loaded, np.stack([frames, frames + 1]))
+
+
+def test_container_without_features_is_no_feature_file(tmp_path):
+    path = tmp_path / "checkpoint.mtda"
+    save_tensors(path, {"f/w": np.zeros((4, 64), dtype=np.float32)})
+    with pytest.raises(ContractError, match=re.escape(f"{path}: not a feature file (no 'features' tensor)")):
+        load_features([path])
+
+
+def test_feature_shapes_must_agree(tmp_path):
+    paths = [tmp_path / "a.mtt", tmp_path / "b.mtt"]
+    save_features(paths[0], np.zeros((3, 64)))
+    save_features(paths[1], np.zeros((4, 64)))
+    with pytest.raises(ContractError, match=re.escape("inconsistent feature shapes: [(3, 64), (4, 64)]")):
+        load_features(paths)
 
 
 def test_header_layout(tmp_path):

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import mtda
-from mtda.checkpoint import load_tensors, save_tensors
+from mtda.checkpoint import load_tensors, save_features, save_tensors
 from mtda.cli import main
 from mtda.geometry import DomainEntry, save_index_table
-from mtda.manifest import write_manifest
+from mtda.manifest import HEADER, write_manifest
 from mtda.synth import SynthConfig
 from mtda.training import TrainConfig, train
 
@@ -445,7 +445,7 @@ def _unknown_test_scene(rows, tmp_path):
 
 def _odd_test_shape(rows, tmp_path):
     odd = tmp_path / "odd.mtt"
-    save_tensors(odd, {"features": np.zeros((32, 64), dtype=np.float32)})
+    save_features(odd, np.zeros((32, 64), dtype=np.float32))
     first_test = next(i for i, r in enumerate(rows) if r.split == "test")
     return [replace(r, feature_path=str(odd)) if i == first_test else r for i, r in enumerate(rows)]
 
@@ -466,7 +466,7 @@ def _no_test_split(rows, tmp_path):
 
 def _tiny_features(rows, tmp_path):
     tiny = tmp_path / "tiny.mtt"
-    save_tensors(tiny, {"features": np.zeros((3, 64), dtype=np.float32)})
+    save_features(tiny, np.zeros((3, 64), dtype=np.float32))
     return [replace(r, feature_path=str(tiny)) for r in rows]
 
 
@@ -534,6 +534,34 @@ class TestMalformedManifests:
         else:
             assert expect in err
 
+    @pytest.mark.parametrize("command", ["ingest", "index", "train", "eval"])
+    @pytest.mark.parametrize(
+        "row, expect",
+        [
+            (b"r1", "line 3 has 1 fields, the header 7"),
+            (b"r1,a,b.wav,scene0,A,,train,f.mtt", "line 3 has 8 fields, the header 7"),
+            (b"r1,,scene0,A,,Test,f.mtt", "line 3 has split 'Test', not train or test"),
+            (b"r1,,sc\xffene0,A,,train,f.mtt", "line 3 is not UTF-8"),
+        ],
+        ids=["short-row", "unquoted-comma", "bad-split", "not-utf8"],
+    )
+    def test_unreadable_row(self, row, expect, command, train_inputs, checkpoint_path, tmp_path, capsys):
+        # line 2 is blank, which is skipped; line 3 cannot be read
+        _, index, config = train_inputs
+        manifest = tmp_path / "raw.csv"
+        manifest.write_bytes(",".join(HEADER).encode() + b"\n\n" + row + b"\n")
+        out = tmp_path / "out"
+        args = {
+            "ingest": [],
+            "index": [],
+            "train": ["--config", str(config), "--index", str(index)],
+            "eval": ["--checkpoint", str(checkpoint_path)],
+        }[command]
+        assert main([command, "--manifest", str(manifest), "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: {expect}" in err and "Traceback" not in err
+        assert not (out / "run.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
     def test_feature_too_small_for_the_model(self, command, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys):
         # Two 2x2 pools of a 3-row feature leave no cell: a shape error, not a numeric one.
@@ -581,7 +609,7 @@ class TestRunRecord:
                      "--config", str(config), "--out", str(ev)]) == 0
         assert json.loads((ev / "run.json").read_text())["config"] == str(config)
 
-    def test_failed_command_writes_no_run_json(self, small_dataset, train_inputs, tmp_path):
+    def test_failed_command_writes_no_run_json(self, small_dataset, train_inputs, tmp_path, capsys):
         _, rows = small_dataset
         _, index, config = train_inputs
         manifest = tmp_path / "bad.csv"
@@ -594,6 +622,7 @@ class TestRunRecord:
         # ingest fails on rows without a WAV path
         assert main(["ingest", "--manifest", str(manifest), "--out", str(ing)]) == 1
         assert ing.is_dir() and not (ing / "run.json").exists()
+        assert f"row {rows[0].id}: no WAV path" in capsys.readouterr().err
 
 
 class TestMalformedTrainInputs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtda.checkpoint import load_tensors
+from mtda.checkpoint import load_features
 from mtda.errors import ContractError
 from mtda.manifest import read_manifest
 from mtda.synth import (
@@ -121,8 +121,8 @@ class TestMakeDataset:
         m2 = (tmp_path / "run2" / "manifest.csv").read_text()
         assert m1.replace("run1", "X") == m2.replace("run2", "X")
         for r1, r2 in zip(rows1, rows2):
-            f1 = load_tensors(r1.feature_path)["features"]
-            f2 = load_tensors(r2.feature_path)["features"]
+            f1 = load_features([r1.feature_path])[0]
+            f2 = load_features([r2.feature_path])[0]
             assert f1.tobytes() == f2.tobytes()
 
     def test_row_count_arithmetic(self, tmp_path):
@@ -164,11 +164,11 @@ class TestMakeDataset:
             # parallel members share the clean tensor: their difference is
             # the gain curve plus bounded noise
             src = next(m for m in members if m.device == "A")
-            src_feat = load_tensors(src.feature_path)["features"]
+            src_feat = load_features([src.feature_path])[0]
             for m in members:
                 if m.device == "A":
                     continue
-                diff = load_tensors(m.feature_path)["features"] - src_feat
+                diff = load_features([m.feature_path])[0] - src_feat
                 assert np.abs(diff).max() < 5.0
 
     def test_manifest_round_trip(self, tmp_path):

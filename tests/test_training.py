@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mtda import autodiff as ad
+from mtda import checkpoint
 from mtda.errors import ContractError
 from mtda.geometry import DomainEntry
 from mtda.models import AdversarialModel, Mode, ModelConfig, domain_loss_for_mode, forward, scene_loss
@@ -334,3 +335,16 @@ class TestIndexPipeline:
         assert table["B"].index == 1  # magnitude 0.4
         assert table["C"].index == 2  # magnitude 1.0
         assert table["B"].distance < table["C"].distance
+
+    def test_reads_only_the_kept_rows(self, small_dataset, monkeypatch):
+        # each device has 9 parallel and 9 other train rows: a budget of 12 keeps
+        # all 9 parallel rows and 3 others, so 36 of the 54 train files are read
+        _, rows = small_dataset
+        read = []
+        load = checkpoint.load_tensors
+        monkeypatch.setattr(checkpoint, "load_tensors", lambda path: read.append(str(path)) or load(path))
+        compute_index_table(rows, seed=1, tsne_iters=60, max_rows_per_device=12)
+        train_rows = {r.feature_path: r for r in rows if r.split == "train"}
+        assert len(train_rows) == 54 and len(read) == len(set(read)) == 36
+        assert [sum(train_rows[p].device == d for p in read) for d in "ABC"] == [12, 12, 12]
+        assert {p for p, r in train_rows.items() if r.parallel_group} <= set(read)
