@@ -27,7 +27,8 @@ adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
 All values are numpy arrays; float64 is used in tests (finite-difference
 tolerances require it), float32 is fine for training. Everything is
 single-threaded and deterministic: identical graph + values give bit-identical
-gradients.
+gradients. No array is written once it is handed on: adjoints sum out of
+place, may be views or read-only broadcasts, and callers only read ``.grad``.
 """
 
 from __future__ import annotations
@@ -88,13 +89,10 @@ def _node(value, parents, backward, name=""):
 
 
 def _accum(parent, delta):
-    if not parent.requires_grad:
-        return
-    delta = np.asarray(delta)
-    if parent.grad is None:
-        parent.grad = delta.astype(parent.value.dtype, copy=True)
-    else:
-        parent.grad += delta
+    """Sum `delta` into `parent`'s adjoint out of place, so no adjoint is written once it is set."""
+    if parent.requires_grad:
+        total = delta if parent.grad is None else parent.grad + delta
+        parent.grad = np.asarray(total).astype(parent.value.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

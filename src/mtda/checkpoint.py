@@ -92,7 +92,7 @@ def save_features(path, frames) -> None:
 
 
 def load_features(paths) -> np.ndarray:
-    """The frames of each feature file in `paths`, stacked; all must share one shape."""
+    """The frames of each feature file in `paths`, stacked; all must share one shape and be finite."""
     feats = [load_tensors(p).get("features") for p in paths]
     missing = next((p for p, f in zip(paths, feats) if f is None), None)
     if missing:
@@ -100,4 +100,7 @@ def load_features(paths) -> np.ndarray:
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
+    non_finite = next((p for p, f in zip(paths, feats) if not np.isfinite(f).all()), None)
+    if non_finite:  # per file: a mask of the whole stack would add a byte per value to peak RSS
+        raise ContractError(f"{non_finite}: non-finite feature values")
     return np.stack(feats)

@@ -15,7 +15,7 @@ outputs go to files only; diagnostics go to stderr. Exit codes: 0 success,
 1 contract violation, 2 I/O failure.
 
 Files that are only outputs (``run.json``, reports, logs, accuracy, sweep and
-embedding tables) are written here alone, by ``_write_json`` and
+embedding tables) are written here alone, by ``write_json`` and
 ``_write_csv``. Files the library reads back (``index.json``, checkpoints,
 features, manifests) keep their save/load pair in the module that owns them.
 A report is ``evaluate``'s record, the same from ``train``, ``eval`` and
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 import warnings
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError, NumericError, read_json
+from mtda.errors import ContractError, NumericError, read_json, write_json
 from mtda.geometry import index_table_payload, load_index_table, save_index_table
 from mtda.manifest import read_manifest, write_manifest
 from mtda.models import AdversarialModel
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             resolved = args.handler(args, out) or {}
         flags = {k: v for k, v in vars(args).items() if k != "handler"}
-        _write_json(out / "run.json", {**flags, **resolved})
+        write_json(out / "run.json", {**flags, **resolved})
         return 0
     except (ValueError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -185,10 +184,10 @@ def cmd_sweep(args, out):
         "best_lambda_d": best["lambda_d"] if best else None,
         "results": [{"lambda_d": r["lambda_d"], "score": r["score"], "error": r["error"]} for r in results],
     }
-    _write_json(out / "sweep.json", summary)
+    write_json(out / "sweep.json", summary)
     for r in results:
         if r["report"] is not None:
-            _write_json(out / f"report_lambda_{r['lambda_d']:g}.json", asdict(r["report"]))
+            write_json(out / f"report_lambda_{r['lambda_d']:g}.json", asdict(r["report"]))
     if not best:
         raise ContractError(f"no lambda_d value trained; at {results[0]['lambda_d']:g}: {results[0]['error']}")
     print(f"best lambda_d = {best['lambda_d']:g} (score {best['score']:.3f})", file=sys.stderr)
@@ -209,14 +208,10 @@ def cmd_export(args, out):
 
 def _write_report(report, out):
     """report.json and its per-device/per-group accuracy.csv."""
-    _write_json(out / "report.json", asdict(report))
+    write_json(out / "report.json", asdict(report))
     devices = [[d, "device", f"{s['accuracy']:.6f}", s["count"]] for d, s in sorted(report.per_device.items())]
     groups = [[g, "group", f"{acc:.6f}", ""] for g, acc in sorted(report.groups.items())]
     _write_csv(out / "accuracy.csv", ["name", "kind", "accuracy", "count"], devices + groups)
-
-
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, header, rows):

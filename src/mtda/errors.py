@@ -2,11 +2,11 @@
 
 Exit-code mapping in the CLI: ContractError / ShapeError / NumericError -> 1,
 OS-level failures -> 2. `read_json` reads every JSON input file, so a file
-that does not parse is an error naming it. `check` alone decides whether a
-value read from a config file, an ``--override`` string or an index table has
-its field's kind and bounds; config fields declare those once, with `rule`,
-and `Checked` applies them to every config built and every override string
-parsed.
+that does not parse is an error naming it; `write_json` writes every JSON
+file. `check` alone decides whether a value read from a config file, an
+``--override`` string or an index table has its field's kind and bounds;
+config fields declare those once, with `rule`, and `Checked` applies them to
+every config built and every override string parsed.
 """
 
 import json
@@ -35,11 +35,17 @@ class NumericError(ArithmeticError):
 
 
 def read_json(path):
-    """The JSON value in file `path`; a file that is not UTF-8 or not JSON is a ContractError naming it."""
+    """The JSON value in file `path`, which may start with a UTF-8 byte-order mark; a file that is
+    not UTF-8 or not JSON is a ContractError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise ContractError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+
+
+def write_json(path, payload):
+    """Write `payload` to file `path` as indented JSON with sorted keys."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "bool", str: "a string",

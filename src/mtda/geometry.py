@@ -8,13 +8,11 @@ device's domain index and the source device is fixed at index 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError, check, read_json
+from mtda.errors import ContractError, check, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def index_table_payload(table: DomainIndexTable) -> dict:
 
 
 def save_index_table(table: DomainIndexTable, path) -> None:
-    Path(path).write_text(json.dumps(index_table_payload(table), indent=2, sort_keys=True) + "\n")
+    write_json(path, index_table_payload(table))
 
 
 def load_index_table(path) -> DomainIndexTable:

@@ -8,6 +8,7 @@ row has no parallel counterpart.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
@@ -30,10 +31,11 @@ class ManifestRow:
 
 
 def read_manifest(path) -> list[ManifestRow]:
-    """The rows of a UTF-8 manifest; blank lines are skipped, and a row that is
+    """The rows of a UTF-8 manifest, which may start with a byte-order mark;
+    blank lines are skipped. A header that repeats a column, or a row that is
     not UTF-8, has another field count than the header, or has a split other
-    than train or test is a ContractError naming the file and its line."""
-    raw = Path(path).read_bytes()
+    than train or test is a ContractError naming the file (and the line)."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -41,6 +43,9 @@ def read_manifest(path) -> list[ManifestRow]:
         raise ContractError(f"{path}: line {line} is not UTF-8") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
+    repeated = sorted({k for k in header if header.count(k) > 1})
+    if repeated:
+        raise ContractError(f"{path}: header repeats columns {repeated}")
     missing = set(HEADER) - set(header)
     if missing:
         raise ValueError(f"manifest {path} missing columns: {sorted(missing)}")

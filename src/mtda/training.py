@@ -87,7 +87,7 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1**self.t)
             v_hat = self.v[k] / (1 - b2**self.t)
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            self.params[k] = self.params[k] - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
         acc = _accuracy(model, data, holdout_idx)
         if acc > best_acc:
             best_acc = acc
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best_params = dict(model.params)
 
     return TrainResult(AdversarialModel(model.config, best_params), TrainReport(curve, best_acc))
 

@@ -274,6 +274,24 @@ class TestBatchChunks:
         assert k.grad is not None
         assert peak < whole_batch_columns / 2, f"traced peak {peak / 1e6:.1f} MB"
 
+    def test_block_two_backward_holds_one_input_sized_buffer(self):
+        # The model's second block at the audio shape, with an input that needs a gradient: x's
+        # adjoint is the interior of the padded col2im buffer, not a copy of it.
+        (n, c, h, w), f = (32, 4, 319, 32), 8
+        rng = np.random.default_rng(4)
+        x = ad.Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(f, c, 3, 3)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(n, f, h // 2, w // 2)).astype(np.float32)
+        node = ad.conv_relu_pool(x, k)
+        tracemalloc.start()
+        try:
+            node._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and k.grad is not None
+        assert peak < 2 * x.value.nbytes, f"traced peak {peak / 1e6:.1f} MB"
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_gives_log_k(self):
@@ -368,6 +386,18 @@ class TestBackprop:
         loss = ad.mse_loss(x, np.zeros(2))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    @pytest.mark.parametrize("shared_first", [True, False], ids=["shared-first", "shared-last"])
+    def test_shared_adjoint_is_never_written(self, shared_first):
+        # add hands both leaves one array; a's second delta must not write into it. The operand
+        # order of the last add decides which of a's two deltas arrives first.
+        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        shared, scaled = ad.add(a, b), 3.0 * a
+        total = ad.add(shared, scaled) if shared_first else ad.add(scaled, shared)
+        ad.backward(ad.mse_loss(total, np.zeros(2)))  # total = 4a + b = [4.5, 7]; dL/dtotal = [9, 14]
+        np.testing.assert_array_equal(a.grad, [36.0, 56.0])
+        np.testing.assert_array_equal(b.grad, [9.0, 14.0])
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor(np.ones((2, 2)), requires_grad=True)

@@ -52,6 +52,18 @@ def test_feature_shapes_must_agree(tmp_path):
         load_features(paths)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_feature_file_is_named(tmp_path, bad):
+    paths = [tmp_path / f"{name}.mtt" for name in "abc"]
+    for path in paths:
+        frames = np.zeros((3, 64), dtype=np.float32)
+        if path.stem != "a":  # the first of the two bad files is named
+            frames[2, 7] = bad
+        save_features(path, frames)
+    with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: non-finite feature values")):
+        load_features(paths)
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "one.mtda"
     save_tensors(path, {"ab": np.zeros(2, dtype=np.float32)})

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``mtda`` command line."""
 
+import codecs
 import csv
 import json
 import os
@@ -464,10 +465,22 @@ def _no_test_split(rows, tmp_path):
     return [r for r in rows if r.split != "test"]
 
 
+def _non_finite_features(rows, tmp_path):
+    """The first train row and the first test row read a feature file that holds one NaN."""
+    frames = load_tensors(rows[0].feature_path)["features"]
+    frames[0, 0] = np.nan
+    save_features(tmp_path / "nan.mtt", frames)
+    firsts = {next(i for i, r in enumerate(rows) if r.split == split) for split in ("train", "test")}
+    return [replace(r, feature_path=str(tmp_path / "nan.mtt")) if i in firsts else r for i, r in enumerate(rows)]
+
+
 def _tiny_features(rows, tmp_path):
     tiny = tmp_path / "tiny.mtt"
     save_features(tiny, np.zeros((3, 64), dtype=np.float32))
     return [replace(r, feature_path=str(tiny)) for r in rows]
+
+
+_HEAD = ",".join(HEADER).encode()
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +509,10 @@ class TestMalformedManifests:
             (_no_test_split, "eval", 1, "no test rows"),
             (_checkpoint_as_features, "train", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
             (_checkpoint_as_features, "eval", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
+            (_non_finite_features, "index", 1, "nan.mtt: non-finite feature values"),
+            (_non_finite_features, "train", 1, "nan.mtt: non-finite feature values"),
+            (_non_finite_features, "eval", 1, "nan.mtt: non-finite feature values"),
+            (_non_finite_features, "export-embeddings", 1, "nan.mtt: non-finite feature values"),
         ],
         ids=[
             "test-only-device-train",
@@ -509,6 +526,10 @@ class TestMalformedManifests:
             "no-test-split-eval",
             "checkpoint-as-features-train",
             "checkpoint-as-features-eval",
+            "non-finite-features-index",
+            "non-finite-features-train",
+            "non-finite-features-eval",
+            "non-finite-features-export",
         ],
     )
     def test_exit_code_and_message(
@@ -533,23 +554,26 @@ class TestMalformedManifests:
             assert expect in json.loads((out / "report.json").read_text())["per_device"]
         else:
             assert expect in err
+            assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("command", ["ingest", "index", "train", "eval"])
     @pytest.mark.parametrize(
-        "row, expect",
+        "raw, expect",
         [
-            (b"r1", "line 3 has 1 fields, the header 7"),
-            (b"r1,a,b.wav,scene0,A,,train,f.mtt", "line 3 has 8 fields, the header 7"),
-            (b"r1,,scene0,A,,Test,f.mtt", "line 3 has split 'Test', not train or test"),
-            (b"r1,,sc\xffene0,A,,train,f.mtt", "line 3 is not UTF-8"),
+            # line 2 is blank, which is skipped; line 3 cannot be read
+            (_HEAD + b"\n\nr1\n", "line 3 has 1 fields, the header 7"),
+            (_HEAD + b"\n\nr1,a,b.wav,scene0,A,,train,f.mtt\n", "line 3 has 8 fields, the header 7"),
+            (_HEAD + b"\n\nr1,,scene0,A,,Test,f.mtt\n", "line 3 has split 'Test', not train or test"),
+            (_HEAD + b"\n\nr1,,sc\xffene0,A,,train,f.mtt\n", "line 3 is not UTF-8"),
+            (codecs.BOM_UTF8 + _HEAD + b"\nr1,,sc\xffene0,A,,train,f.mtt\n", "line 2 is not UTF-8"),
+            (_HEAD + b",split\nr1,,scene0,A,,train,f.mtt,test\n", "header repeats columns ['split']"),
         ],
-        ids=["short-row", "unquoted-comma", "bad-split", "not-utf8"],
+        ids=["short-row", "unquoted-comma", "bad-split", "not-utf8", "not-utf8-after-bom", "repeated-column"],
     )
-    def test_unreadable_row(self, row, expect, command, train_inputs, checkpoint_path, tmp_path, capsys):
-        # line 2 is blank, which is skipped; line 3 cannot be read
+    def test_unreadable_row(self, raw, expect, command, train_inputs, checkpoint_path, tmp_path, capsys):
         _, index, config = train_inputs
         manifest = tmp_path / "raw.csv"
-        manifest.write_bytes(",".join(HEADER).encode() + b"\n\n" + row + b"\n")
+        manifest.write_bytes(raw)
         out = tmp_path / "out"
         args = {
             "ingest": [],
@@ -582,6 +606,41 @@ class TestMalformedManifests:
         assert ", 1, 3, 64]" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err and "warning:" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _with_bom(path, tmp_path):
+    """A copy of file `path` that starts with a UTF-8 byte-order mark."""
+    copy = tmp_path / f"bom-{path.name}"
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A text input saved with a UTF-8 byte-order mark reads as the same file without one."""
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--config", "--index"])
+    def test_train_input(self, flag, train_inputs, checkpoint_path, tmp_path):
+        manifest, index, config = train_inputs
+        inputs = {"--manifest": manifest, "--config": config, "--index": index}
+        inputs[flag] = _with_bom(inputs[flag], tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), *(arg for pair in inputs.items() for arg in map(str, pair))]) == 0
+        assert (out / "checkpoint.mtda").read_bytes() == checkpoint_path.read_bytes()
+
+    def test_manifest_through_index_and_eval(self, train_inputs, checkpoint_path, tmp_path):
+        manifest, _, _ = train_inputs
+        for name, path in [("plain", manifest), ("bom", _with_bom(manifest, tmp_path))]:
+            assert main(["index", "--manifest", str(path), "--out", str(tmp_path / name), "--tsne-iters", "60"]) == 0
+            assert main(["eval", "--checkpoint", str(checkpoint_path), "--manifest", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+        for output in ("index.json", "report.json", "accuracy.csv"):
+            assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+
+    def test_synth_config(self, synth_config, tmp_path):
+        for name, path in [("plain", synth_config), ("bom", _with_bom(synth_config, tmp_path))]:
+            assert main(["synth", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        recorded = [json.loads((tmp_path / name / "run.json").read_text())["config"] for name in ("plain", "bom")]
+        assert recorded[0] == recorded[1]
 
 
 class TestRunRecord:

@@ -97,6 +97,15 @@ class TestAdam:
             opt.step({"w": 2 * params["w"]})
         assert np.abs(params["w"]).max() < 1e-3
 
+    def test_step_rebinds_and_never_writes_a_parameter(self):
+        # An array handed on, such as the best epoch's parameters that train keeps, stays as it was.
+        w = np.array([1.0, 2.0])
+        params = {"w": w}
+        Adam(params, lr=0.1).step({"w": np.array([0.5, -0.5])})
+        np.testing.assert_array_equal(w, [1.0, 2.0])
+        assert params["w"] is not w
+        np.testing.assert_allclose(params["w"], [0.9, 2.1])
+
     def test_deterministic(self):
         def run():
             params = {"w": np.array([1.0, 2.0])}
@@ -241,9 +250,9 @@ def _constant_predictor(n_classes, label):
     model = AdversarialModel.initialize(
         ModelConfig(n_classes=n_classes, n_domains=3, mode=Mode.MTDA_C2, conv_channels=(2, 4)), seed=0
     )
-    model.params["c/w"][:] = 0.0
-    model.params["c/b"][:] = 0.0
-    model.params["c/b"][label] = 10.0
+    bias = np.zeros_like(model.params["c/b"])
+    bias[label] = 10.0
+    model.params.update({"c/w": np.zeros_like(model.params["c/w"]), "c/b": bias})
     return model
 
 
