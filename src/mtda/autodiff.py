@@ -331,10 +331,7 @@ def _check_onehot(onehot):
     v = np.asarray(onehot)
     if v.ndim != 2:
         raise ContractError("one-hot matrix must be rank 2")
-    ones = np.isclose(v, 1.0)
-    if not (np.all(np.isclose(v.sum(axis=1), 1.0)) and np.all(ones.sum(axis=1) == 1)):
-        raise ContractError("rows must be one-hot (single 1, rest 0)")
-    if not np.all(np.isclose(v, 0.0) | ones):
+    if not (((v == 0) | (v == 1)).all() and (v.sum(axis=1) == 1).all()):
         raise ContractError("rows must be one-hot (single 1, rest 0)")
     return v
 

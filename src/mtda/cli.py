@@ -215,7 +215,7 @@ def _write_report(report, out):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

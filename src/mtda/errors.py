@@ -34,11 +34,21 @@ class NumericError(ArithmeticError):
     """A computation produced NaN/Inf where finite values are required."""
 
 
+def _unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ContractError(f"repeats keys {repeated}")
+    return dict(pairs)
+
+
 def read_json(path):
     """The JSON value in file `path`, which may start with a UTF-8 byte-order mark; a file that is
-    not UTF-8 or not JSON is a ContractError naming it."""
+    not UTF-8 or not JSON, or an object in it that repeats a key, is a ContractError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise ContractError(f"{path}: not a UTF-8 JSON file: {exc}") from None
 

@@ -32,8 +32,8 @@ class ManifestRow:
 
 def read_manifest(path) -> list[ManifestRow]:
     """The rows of a UTF-8 manifest, which may start with a byte-order mark;
-    blank lines are skipped. A header that repeats a column, or a row that is
-    not UTF-8, has another field count than the header, or has a split other
+    blank lines are skipped. A header that misses or repeats a column, or a row
+    that is not UTF-8, has another field count than the header, or has a split other
     than train or test is a ContractError naming the file (and the line)."""
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
@@ -48,7 +48,7 @@ def read_manifest(path) -> list[ManifestRow]:
         raise ContractError(f"{path}: header repeats columns {repeated}")
     missing = set(HEADER) - set(header)
     if missing:
-        raise ValueError(f"manifest {path} missing columns: {sorted(missing)}")
+        raise ContractError(f"{path}: missing columns {sorted(missing)}")
     rows = []
     for fields in reader:
         if not fields:

@@ -1,13 +1,13 @@
 """Three-head adversarial model and its loss variants.
 
 The feature extractor F (two 3x3 conv/relu/avg-pool blocks, global average
-pooling, dense to a 64-d feature z) feeds a scene classifier C (dense,
-softmax) and a domain discriminator D (dense 64->32, relu, dense 32->out)
-through a gradient-reversal node. The discriminator head depends on the
-mode:
+pooling, dense to a 64-d feature z) feeds a scene classifier C (dense to
+class logits) and a domain discriminator D (dense 64->32, relu, dense
+32->out) through a gradient-reversal node. `forward` builds this one graph,
+with no softmax, in every mode; the mode sets only D's width and its loss:
 
-- ``dann``    binary source/target, squared-error loss on softmax output
-              (all targets collapsed to one domain label);
+- ``dann``    binary source/target, squared-error loss on the softmax of the
+              logits (all targets collapsed to one domain label);
 - ``mtda-c1`` plain multi-class domain cross-entropy over M domains;
 - ``mtda-c2`` domain cross-entropy weighted per sample by (u+1)/T, so
               harder-to-adapt domains (larger index u) receive larger
@@ -132,10 +132,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
 @dataclass
 class ForwardPass:
     z: ad.Tensor
-    y_logits: ad.Tensor
-    y_pred: ad.Tensor
-    d_out: ad.Tensor  # logits for classification modes, raw (n,1) for regression
-    d_pred: ad.Tensor  # softmax for classification modes, == d_out for regression
+    y_logits: ad.Tensor  # (n, n_classes) scene logits
+    d_out: ad.Tensor  # (n, head_width): domain logits, or the raw (n, 1) index for mtda-r
     leaves: dict = field(default_factory=dict)  # param name -> leaf Tensor
 
 
@@ -155,13 +153,11 @@ def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> Fo
     z = ad.dense(ad.global_avg_pool(h), leaves["f/w"], leaves["f/b"])
 
     y_logits = ad.dense(z, leaves["c/w"], leaves["c/b"])
-    y_pred = ad.softmax(y_logits)
 
     rev = ad.gradient_reversal(z, lambda_d)
     d_hidden = ad.relu(ad.dense(rev, leaves["d/w1"], leaves["d/b1"]))
     d_out = ad.dense(d_hidden, leaves["d/w2"], leaves["d/b2"])
-    d_pred = d_out if model.config.mode is Mode.MTDA_R else ad.softmax(d_out)
-    return ForwardPass(z=z, y_logits=y_logits, y_pred=y_pred, d_out=d_out, d_pred=d_pred, leaves=leaves)
+    return ForwardPass(z=z, y_logits=y_logits, d_out=d_out, leaves=leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def domain_loss_for_mode(
     lambda_d works across modes. Off by default: the index is regressed raw.
     """
     if mode is Mode.DANN:
-        return dann_domain_loss(fwd.d_pred, batch.d_binary)
+        return dann_domain_loss(ad.softmax(fwd.d_out), batch.d_binary)
     if mode is Mode.MTDA_C1:
         return plain_domain_ce(fwd.d_out, batch.d_onehot)
     if mode is Mode.MTDA_C2:

@@ -144,6 +144,13 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
     if not rows:
         raise ContractError("manifest has no train rows with extracted features")
     source_device = _source_device(rows)
+    sources: dict = {}
+    for r in rows:
+        if r.device == source_device and r.parallel_group:
+            sources.setdefault(r.parallel_group, []).append(r.id)
+    for group, ids in sorted(sources.items()):
+        if len(ids) > 1:
+            raise ContractError(f"parallel group {group!r} has more than one source row: {ids}")
     devices = sorted({r.device for r in rows})
     rng = np.random.default_rng(seed)
     keep = []
@@ -281,7 +288,7 @@ def _inference(model, x, batch_size=64):
 
 
 def predict(model, x):
-    return np.concatenate([np.argmax(fwd.y_pred.value, axis=1) for fwd in _inference(model, x)])
+    return np.concatenate([np.argmax(fwd.y_logits.value, axis=1) for fwd in _inference(model, x)])
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,10 @@ class TestSoftmaxCrossEntropy:
         loss = ad.softmax_cross_entropy(ad.Tensor(logits), onehot, weights)
         assert scalar(loss) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_non_onehot(self):
-        with pytest.raises(ContractError):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array([[0.5, 0.5, 0.0]]), np.ones(1))
+    @pytest.mark.parametrize("onehot", [[[0.5, 0.5, 0.0]], [[1 - 1e-9, 1e-9, 0.0]]], ids=["halves", "near-onehot"])
+    def test_rejects_non_onehot(self, onehot):
+        with pytest.raises(ContractError, match="rows must be one-hot"):
+            ad.softmax_cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array(onehot), np.ones(1))
 
     def test_weighted_equals_weight_times_unweighted_per_sample(self):
         logits = RNG.normal(size=(6, 4))

@@ -16,7 +16,7 @@ import pytest
 import mtda
 from mtda.checkpoint import load_tensors, save_features, save_tensors
 from mtda.cli import main
-from mtda.geometry import DomainEntry, save_index_table
+from mtda.geometry import DomainEntry, index_table_payload, save_index_table
 from mtda.manifest import HEADER, write_manifest
 from mtda.synth import SynthConfig
 from mtda.training import TrainConfig, train
@@ -474,6 +474,24 @@ def _non_finite_features(rows, tmp_path):
     return [replace(r, feature_path=str(tmp_path / "nan.mtt")) if i in firsts else r for i, r in enumerate(rows)]
 
 
+def _shared_source_group(rows, tmp_path):
+    """A second source row joins parallel group pg_c0_s0, which already has one."""
+    return [replace(r, parallel_group="pg_c0_s0") if r.id == "A_c0_s1" else r for r in rows]
+
+
+def _repeated_config_key(rows, tmp_path):
+    """The train config names epochs twice; a plain JSON parse would keep the last silently."""
+    (tmp_path / "train.json").write_text(json.dumps(FAST_TRAIN)[:-1] + ', "epochs": 2}')
+    return rows
+
+
+def _repeated_index_key(rows, tmp_path):
+    """Device A's entry in the index table names its index twice."""
+    text = json.dumps(index_table_payload(INDEX_TABLE))
+    (tmp_path / "index.json").write_text(text.replace('"index": 0}', '"index": 0, "index": 1}', 1))
+    return rows
+
+
 def _tiny_features(rows, tmp_path):
     tiny = tmp_path / "tiny.mtt"
     save_features(tiny, np.zeros((3, 64), dtype=np.float32))
@@ -513,6 +531,10 @@ class TestMalformedManifests:
             (_non_finite_features, "train", 1, "nan.mtt: non-finite feature values"),
             (_non_finite_features, "eval", 1, "nan.mtt: non-finite feature values"),
             (_non_finite_features, "export-embeddings", 1, "nan.mtt: non-finite feature values"),
+            (_shared_source_group, "index", 1,
+             "parallel group 'pg_c0_s0' has more than one source row: ['A_c0_s0', 'A_c0_s1']"),
+            (_repeated_config_key, "train", 1, "train.json: repeats keys ['epochs']"),
+            (_repeated_index_key, "train", 1, "index.json: repeats keys ['index']"),
         ],
         ids=[
             "test-only-device-train",
@@ -530,6 +552,9 @@ class TestMalformedManifests:
             "non-finite-features-train",
             "non-finite-features-eval",
             "non-finite-features-export",
+            "shared-source-group-index",
+            "repeated-config-key-train",
+            "repeated-index-key-train",
         ],
     )
     def test_exit_code_and_message(
@@ -567,8 +592,10 @@ class TestMalformedManifests:
             (_HEAD + b"\n\nr1,,sc\xffene0,A,,train,f.mtt\n", "line 3 is not UTF-8"),
             (codecs.BOM_UTF8 + _HEAD + b"\nr1,,sc\xffene0,A,,train,f.mtt\n", "line 2 is not UTF-8"),
             (_HEAD + b",split\nr1,,scene0,A,,train,f.mtt,test\n", "header repeats columns ['split']"),
+            (b"id,path,scene,device\nr1,,scene0,A\n", "missing columns ['feature_path', 'parallel_group', 'split']"),
         ],
-        ids=["short-row", "unquoted-comma", "bad-split", "not-utf8", "not-utf8-after-bom", "repeated-column"],
+        ids=["short-row", "unquoted-comma", "bad-split", "not-utf8", "not-utf8-after-bom", "repeated-column",
+             "missing-columns"],
     )
     def test_unreadable_row(self, raw, expect, command, train_inputs, checkpoint_path, tmp_path, capsys):
         _, index, config = train_inputs
@@ -641,6 +668,25 @@ class TestByteOrderMark:
             assert main(["synth", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         recorded = [json.loads((tmp_path / name / "run.json").read_text())["config"] for name in ("plain", "bom")]
         assert recorded[0] == recorded[1]
+
+
+def test_csv_outputs_are_utf8_in_an_ascii_locale(train_inputs, tmp_path):
+    """A device group named outside ASCII is written to accuracy.csv as UTF-8 whatever the locale."""
+    manifest, index, _ = train_inputs
+    config = tmp_path / "groups.json"
+    config.write_text(json.dumps({**FAST_TRAIN, "device_groups": {"Zielgeräte": ["B", "C"]}}, ensure_ascii=False),
+                      encoding="utf-8")
+    src = str(Path(mtda.__file__).resolve().parents[1])
+    for name, locale in [("utf8", {"PYTHONUTF8": "1"}), ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                                                                   "PYTHONUTF8": "0"})]:
+        env = {**os.environ, "PYTHONPATH": src, **locale}
+        done = subprocess.run([sys.executable, "-m", "mtda.cli", "train", "--config", str(config), "--manifest",
+                               str(manifest), "--index", str(index), "--out", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    accuracy = (tmp_path / "ascii" / "accuracy.csv").read_bytes()
+    assert accuracy == (tmp_path / "utf8" / "accuracy.csv").read_bytes()
+    assert "Zielgeräte,group,".encode() in accuracy
 
 
 class TestRunRecord:

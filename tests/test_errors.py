@@ -1,10 +1,10 @@
-"""Tests for the field checker shared by the configs and the index-table loader."""
+"""Tests for the field checker shared by the configs and the index-table loader, and the JSON reader."""
 
 import math
 
 import pytest
 
-from mtda.errors import ContractError, check
+from mtda.errors import ContractError, check, read_json
 
 
 def _returns(value):
@@ -66,3 +66,21 @@ def test_check(value, kind, rules, expect):
         assert result == expected and type(result) is type(expected)
         if kind is tuple:  # an int item of a float list stays an int too
             assert [type(v) for v in result] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ('{"epochs": 1, "seed": 0, "epochs": 2}', "['epochs']"),
+        ('{"device_groups": {"t": ["B"], "u": ["C"], "t": ["C"]}}', "['t']"),
+        ('{"A": {"distance": 0.0, "index": 0, "index": 1, "distance": 1.0}}', "['distance', 'index']"),
+        ('[{"a": 1}, {"b": 1, "b": 1}]', "['b']"),
+    ],
+    ids=["top-level", "nested", "two-keys", "in-a-list"],
+)
+def test_read_json_rejects_repeated_keys(text, repeated, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(ContractError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}: repeats keys {repeated}"

@@ -24,6 +24,7 @@ from mtda.models import (
     scene_loss,
     weighted_domain_ce,
 )
+from mtda.training import predict
 
 RNG = np.random.default_rng(99)
 
@@ -43,25 +44,58 @@ def make_batch(n=6, n_classes=5, n_domains=4, seed=0):
 
 
 class TestForward:
-    def test_shapes_and_softmax_normalization(self):
+    def test_shapes(self):
         model = make_model(Mode.MTDA_C1)
         fwd = forward(model, RNG.normal(size=(3, 1, 16, 16)))
         assert fwd.z.shape == (3, 64)
-        assert fwd.y_pred.shape == (3, 5)
-        np.testing.assert_allclose(fwd.y_pred.value.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(fwd.d_pred.value.sum(axis=1), 1.0, atol=1e-6)
+        assert fwd.y_logits.shape == (3, 5)
+        assert fwd.d_out.shape == (3, 4)
 
     def test_regression_head_is_raw_scalar(self):
         model = make_model(Mode.MTDA_R)
         fwd = forward(model, RNG.normal(size=(4, 1, 16, 16)))
-        assert fwd.d_pred.shape == (4, 1)
-        assert fwd.d_pred is fwd.d_out
+        assert fwd.d_out.shape == (4, 1)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_builds_no_softmax(self, monkeypatch, mode):
+        def no_softmax(*_):
+            raise AssertionError("forward built a softmax node")
+
+        monkeypatch.setattr(ad, "softmax", no_softmax)
+        batch = make_batch()
+        fwd = forward(make_model(mode), batch.x)
+        if mode is not Mode.DANN:  # only the dann loss reads probabilities
+            domain_loss_for_mode(mode, fwd, batch)
+
+    def test_predict_and_dann_loss_read_the_logits(self):
+        model = make_model(Mode.DANN)
+        batch = make_batch()
+        # Class 3's logit is one ulp above the others: the softmax rounds the
+        # row to equal probabilities, and only the logits rank class 3 first.
+        tied = np.full(5, 0.1)
+        tied[3] = np.nextafter(0.1, 1.0)
+        tie = AdversarialModel(model.config, dict(model.params, **{"c/w": np.zeros((64, 5)), "c/b": tied}))
+        for m in (model, tie):
+            np.testing.assert_array_equal(predict(m, batch.x), np.argmax(forward(m, batch.x).y_logits.value, axis=1))
+        np.testing.assert_array_equal(predict(tie, batch.x), 3)
+
+        def f_grads(loss_of):
+            fwd = forward(model, batch.x)
+            loss = loss_of(fwd)
+            ad.backward(loss)
+            return loss.value, {k: fwd.leaves[k].grad for k in model.params if k.startswith("f/")}
+
+        value, grads = f_grads(lambda fwd: domain_loss_for_mode(Mode.DANN, fwd, batch))
+        value2, grads2 = f_grads(lambda fwd: dann_domain_loss(ad.softmax(fwd.d_out), batch.d_binary))
+        np.testing.assert_array_equal(value, value2)
+        for k, g in grads.items():
+            np.testing.assert_array_equal(g, grads2[k])
 
     def test_duplicated_inputs_give_identical_rows(self):
         model = make_model(Mode.MTDA_C2)
         x0 = RNG.normal(size=(1, 1, 16, 16))
         fwd = forward(model, np.concatenate([x0, x0]))
-        for t in (fwd.z, fwd.y_pred, fwd.d_pred):
+        for t in (fwd.z, fwd.y_logits, fwd.d_out):
             np.testing.assert_array_equal(t.value[0], t.value[1])
 
     @pytest.mark.parametrize(
@@ -297,7 +331,7 @@ class TestSerialization:
         model.save(tmp_path / "m.mtda")
         loaded = AdversarialModel.load(tmp_path / "m.mtda")
         x = RNG.normal(size=(2, 1, 16, 16))
-        np.testing.assert_array_equal(forward(model, x).y_pred.value, forward(loaded, x).y_pred.value)
+        np.testing.assert_array_equal(forward(model, x).y_logits.value, forward(loaded, x).y_logits.value)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_mutated_record_fails_cleanly_or_loads_the_same(self, tmp_path, mode):
