@@ -9,6 +9,7 @@ natural log with additive floor 1e-10. A 10 s clip yields 638 x 64 frames.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import wave
@@ -63,8 +64,11 @@ def resample(clip: AudioClip) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=TARGET_RATE)
 
 
+@functools.cache
 def mel_filterbank() -> np.ndarray:
-    """Slaney-style triangular filters (linear below 1 kHz, log above), 0 to 16 kHz."""
+    """Slaney-style triangular filters (linear below 1 kHz, log above), 0 to 16 kHz.
+
+    Built once and shared, so the array is read-only."""
 
     def hz_to_mel(f):
         f = np.asarray(f, dtype=np.float64)
@@ -88,7 +92,16 @@ def mel_filterbank() -> np.ndarray:
         up = (fft_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - fft_freqs) / max(hi - center, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.flags.writeable = False
     return fb
+
+
+@functools.cache
+def hann_window() -> np.ndarray:
+    """The periodic Hann analysis window, built once and shared, so read-only."""
+    window = get_window("hann", WINDOW, fftbins=True)
+    window.flags.writeable = False
+    return window
 
 
 def band_center_freqs() -> np.ndarray:
@@ -104,9 +117,8 @@ def logmel(clip: AudioClip) -> FeatureTensor:
     n_frames = (len(x) - WINDOW) // HOP + 1
     if n_frames < 1:
         raise ContractError("clip shorter than one analysis window")
-    window = get_window("hann", WINDOW, fftbins=True)
     idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n_frames)[:, None]
-    frames = x[idx] * window
+    frames = x[idx] * hann_window()
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     mel = power @ mel_filterbank().T
     return FeatureTensor(frames=np.log(mel + LOG_FLOOR))

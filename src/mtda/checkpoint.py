@@ -47,8 +47,9 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Parse a container; any malformed byte ends in a ContractError that
-    names the path and the byte offset where parsing stopped."""
-    data = Path(path).read_bytes()
+    names the path and the byte offset where parsing stopped. Fields are read
+    through a view of the file's bytes, so the only copy made is each tensor's."""
+    data = memoryview(Path(path).read_bytes())
     if data[:4] != MAGIC:
         raise ContractError(f"{path}: not a tensor container (bad magic at byte 0)")
     offset = 4
@@ -69,7 +70,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise ContractError(f"{path}: tensor name is not UTF-8 at byte {offset - name_len}") from None
         code, rank = take(2, "dtype/rank")
@@ -92,15 +93,36 @@ def save_features(path, frames) -> None:
 
 
 def load_features(paths) -> np.ndarray:
-    """The frames of each feature file in `paths`, stacked; all must share one shape and be finite."""
-    feats = [load_tensors(p).get("features") for p in paths]
-    missing = next((p for p, f in zip(paths, feats) if f is None), None)
-    if missing:
-        raise ContractError(f"{missing}: not a feature file (no 'features' tensor)")
-    shapes = {f.shape for f in feats}
+    """The frames of each feature file in `paths`, one row per file, in one array.
+
+    The files are read one at a time into an array allocated on the first, so
+    the result and one file are all that is held at once. All files must share
+    one shape and dtype and be finite. A file with no `features` tensor is
+    reported first, then every distinct shape, then a dtype that differs from
+    the first file's, then the first file holding NaN or inf.
+    """
+    if not paths:
+        raise ContractError("no feature files to load")
+    out = None
+    shapes = set()
+    mixed_dtype = non_finite = None
+    for row, path in enumerate(paths):
+        frames = load_tensors(path).get("features")
+        if frames is None:
+            raise ContractError(f"{path}: not a feature file (no 'features' tensor)")
+        if out is None:
+            out = np.empty((len(paths), *frames.shape), frames.dtype)
+        shapes.add(frames.shape)
+        if frames.dtype != out.dtype:
+            mixed_dtype = mixed_dtype or f"{path}: feature dtype {frames.dtype}, earlier files {out.dtype}"
+        elif len(shapes) == 1:
+            out[row] = frames
+        if non_finite is None and not np.isfinite(frames).all():
+            non_finite = path
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
-    non_finite = next((p for p, f in zip(paths, feats) if not np.isfinite(f).all()), None)
-    if non_finite:  # per file: a mask of the whole stack would add a byte per value to peak RSS
+    if mixed_dtype:
+        raise ContractError(mixed_dtype)
+    if non_finite is not None:
         raise ContractError(f"{non_finite}: non-finite feature values")
-    return np.stack(feats)
+    return out

@@ -343,6 +343,8 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, seed=0, tsne_
 
     check("n_per_device", n_per_device, int, ge=5)
     usable = [r for r in rows if r.feature_path]
+    if not usable:
+        raise ContractError("manifest has no rows with extracted features")
     rng = np.random.default_rng(seed)
     chosen = []
     for device in sorted({r.device for r in usable}):

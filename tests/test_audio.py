@@ -6,6 +6,7 @@ import wave
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from mtda import audio
 from mtda.audio import (
@@ -15,6 +16,7 @@ from mtda.audio import (
     AudioClip,
     FeatureTensor,
     band_center_freqs,
+    hann_window,
     ingest,
     load_wav,
     logmel,
@@ -99,6 +101,21 @@ class TestLogmel:
         a = logmel(AudioClip(x, 32000)).frames
         b = logmel(AudioClip(shifted, 32000)).frames
         np.testing.assert_allclose(b[: 636], a[1:637], atol=1e-6)
+
+
+class TestSharedFilters:
+    def test_cached_arrays_are_read_only(self):
+        for shared in (mel_filterbank(), hann_window()):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
+
+    def test_logmel_matches_freshly_built_filters(self):
+        x = np.random.default_rng(3).uniform(-0.9, 0.9, CLIP_SAMPLES)
+        idx = np.arange(1024)[None, :] + HOP * np.arange(638)[:, None]
+        power = np.abs(np.fft.rfft(x[idx] * get_window("hann", 1024, fftbins=True), axis=1)) ** 2
+        expect = np.log(power @ mel_filterbank.__wrapped__().T + LOG_FLOOR)
+        assert logmel(AudioClip(x, 32000)).frames.tobytes() == expect.tobytes()
 
 
 class TestMelFilterbank:

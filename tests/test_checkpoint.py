@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,51 @@ def test_non_finite_feature_file_is_named(tmp_path, bad):
         save_features(path, frames)
     with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: non-finite feature values")):
         load_features(paths)
+
+
+def test_no_feature_files_is_an_error():
+    with pytest.raises(ContractError, match="no feature files"):
+        load_features([])
+
+
+def test_mixed_feature_dtypes_are_rejected(tmp_path):
+    paths = [tmp_path / f"{name}.mtt" for name in "abc"]
+    for path, dtype in zip(paths, (np.float32, np.float64, np.float64)):
+        save_features(path, np.zeros((3, 64), dtype=dtype))
+    with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: feature dtype float64, earlier files float32")):
+        load_features(paths)
+
+
+def test_missing_features_tensor_outranks_an_earlier_non_finite_file(tmp_path):
+    paths = [tmp_path / "nan.mtt", tmp_path / "checkpoint.mtda"]
+    save_features(paths[0], np.full((3, 64), np.nan))
+    save_tensors(paths[1], {"f/w": np.zeros((3, 64))})
+    with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: not a feature file (no 'features' tensor)")):
+        load_features(paths)
+
+
+def test_shapes_outrank_an_earlier_non_finite_file(tmp_path):
+    paths = [tmp_path / "nan.mtt", tmp_path / "long.mtt"]
+    save_features(paths[0], np.full((3, 64), np.nan))
+    save_features(paths[1], np.zeros((4, 64)))
+    with pytest.raises(ContractError, match=re.escape("inconsistent feature shapes: [(3, 64), (4, 64)]")):
+        load_features(paths)
+
+
+def test_feature_loading_holds_one_copy(tmp_path):
+    """The result and a few single-file buffers, never the per-file arrays beside a stacked copy."""
+    frames = np.zeros((64, 64))
+    paths = [tmp_path / f"{k}.mtt" for k in range(200)]
+    for k, path in enumerate(paths):
+        save_features(path, frames + k)
+    tracemalloc.start()
+    try:
+        loaded = load_features(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded, np.arange(200.0)[:, None, None] + frames)
+    assert peak <= loaded.nbytes + 4 * frames.nbytes, (peak, loaded.nbytes)
 
 
 def test_header_layout(tmp_path):

@@ -492,6 +492,11 @@ def _repeated_index_key(rows, tmp_path):
     return rows
 
 
+def _no_feature_rows(rows, tmp_path):
+    """No row has had its features extracted."""
+    return [replace(r, feature_path="") for r in rows]
+
+
 def _tiny_features(rows, tmp_path):
     tiny = tmp_path / "tiny.mtt"
     save_features(tiny, np.zeros((3, 64), dtype=np.float32))
@@ -524,6 +529,7 @@ class TestMalformedManifests:
             (_unknown_test_scene, "eval", 1, "not among the train classes"),
             (_odd_test_shape, "eval", 1, "inconsistent feature shapes"),
             (_odd_test_shape, "export-embeddings", 1, "inconsistent feature shapes"),
+            (_no_feature_rows, "export-embeddings", 1, "manifest has no rows with extracted features"),
             (_no_test_split, "eval", 1, "no test rows"),
             (_checkpoint_as_features, "train", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
             (_checkpoint_as_features, "eval", 1, "checkpoint.mtda: not a feature file (no 'features' tensor)"),
@@ -545,6 +551,7 @@ class TestMalformedManifests:
             "unknown-test-scene-eval",
             "odd-test-shape-eval",
             "odd-test-shape-export",
+            "no-feature-rows-export",
             "no-test-split-eval",
             "checkpoint-as-features-train",
             "checkpoint-as-features-eval",

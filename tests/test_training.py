@@ -311,6 +311,13 @@ class TestExportEmbeddings:
         with pytest.raises(ContractError):
             export_embeddings(result.model, rows, n_per_device=4)
 
+    def test_no_extracted_features_is_named(self, small_dataset):
+        _, rows = small_dataset
+        model = AdversarialModel.initialize(ModelConfig(n_classes=3, n_domains=3, mode="dann"), seed=0)
+        bare = [replace(r, feature_path="") for r in rows]
+        with pytest.raises(ContractError, match=re.escape("manifest has no rows with extracted features")):
+            export_embeddings(model, bare, n_per_device=6)
+
 
 class TestSweep:
     def test_grid_of_one_matches_single_train(self, small_dataset):
