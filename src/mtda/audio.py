@@ -5,6 +5,8 @@ magnitude-squared STFT (window 1024 samples = 32 ms, hop 500 samples; the
 nominal 15.6 ms hop is 499.2 samples, rounded to an integer hop with 0.16%
 deviation), 64 Slaney-style triangular mel filters spanning 0-16 kHz, and a
 natural log with additive floor 1e-10. A 10 s clip yields 638 x 64 frames.
+The power spectrum is built FRAME_CHUNK frames at a time into one array, so
+the framing and FFT temporaries stay small whatever the clip length.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window, resample_poly
+from scipy.signal import firwin, get_window, resample_poly
 
 from mtda import checkpoint
 from mtda.errors import ContractError
@@ -28,6 +30,7 @@ WINDOW = 1024
 HOP = 500
 N_MELS = 64
 LOG_FLOOR = 1e-10
+FRAME_CHUNK = 32  # frames per FFT pass: 32 x 1024 float64 windowed samples are 256 KB
 
 
 @dataclass
@@ -56,12 +59,23 @@ def resample(clip: AudioClip) -> AudioClip:
         from fractions import Fraction
 
         ratio = Fraction(TARGET_RATE, clip.sample_rate).limit_denominator(1000)
-        samples = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
+        up, down = ratio.numerator, ratio.denominator
+        samples = resample_poly(clip.samples, up, down, window=resample_filter(up, down))
     if len(samples) >= CLIP_SAMPLES:
         samples = samples[:CLIP_SAMPLES]
     else:
         samples = np.concatenate([samples, np.zeros(CLIP_SAMPLES - len(samples))])
     return AudioClip(samples=samples, sample_rate=TARGET_RATE)
+
+
+@functools.cache
+def resample_filter(up: int, down: int) -> np.ndarray:
+    """The low-pass FIR that `resample_poly` designs for a reduced `up`/`down`
+    pair by default, designed once per pair and shared, so read-only."""
+    m = max(up, down)
+    h = firwin(2 * 10 * m + 1, 1 / m, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
 
 
 @functools.cache
@@ -117,9 +131,12 @@ def logmel(clip: AudioClip) -> FeatureTensor:
     n_frames = (len(x) - WINDOW) // HOP + 1
     if n_frames < 1:
         raise ContractError("clip shorter than one analysis window")
-    idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n_frames)[:, None]
-    frames = x[idx] * hann_window()
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    power = np.empty((n_frames, WINDOW // 2 + 1))
+    for lo in range(0, n_frames, FRAME_CHUNK):
+        frames = windows[lo : lo + FRAME_CHUNK] * hann_window()
+        power[lo : lo + FRAME_CHUNK] = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    # one GEMM over the whole clip: BLAS rounds a product of few rows differently
     mel = power @ mel_filterbank().T
     return FeatureTensor(frames=np.log(mel + LOG_FLOOR))
 
@@ -154,10 +171,11 @@ class IngestResult:
 def ingest(rows, out_dir) -> IngestResult:
     """Extract features for every manifest row; content-addressed, so reruns skip.
 
-    Output names embed a hash of the source bytes and frontend parameters;
-    an up-to-date output file is never rewritten. Each file is read once and
-    the bytes hashed are the bytes decoded, so a name always matches its
-    features' source. Per-row failures are recorded and do not abort the batch.
+    Output names embed a hash of the source bytes, the frontend parameters and
+    the stored dtype; an up-to-date output file is never rewritten. Each file
+    is read once and the bytes hashed are the bytes decoded, so a name always
+    matches its features' source. Per-row failures are recorded and do not
+    abort the batch.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,9 +185,8 @@ def ingest(rows, out_dir) -> IngestResult:
             if not row.path:
                 raise ContractError("no WAV path")
             payload = Path(row.path).read_bytes()
-            digest = hashlib.sha256(
-                payload + f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}".encode()
-            ).hexdigest()[:16]
+            frontend = f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}|{checkpoint.FEATURE_DTYPE}"
+            digest = hashlib.sha256(payload + frontend.encode()).hexdigest()[:16]
             feature_path = out_dir / f"{row.id}_{digest}.mtt"
             if not feature_path.exists():
                 clip = resample(load_wav(row.path, payload))

@@ -6,9 +6,11 @@ Layout (all integers little-endian):
     per tensor: name length u16 | UTF-8 name | dtype code u8 (0=f32, 1=f64, 2=u8)
                 | rank u8 | dims u32[rank] | row-major payload
 
-Feature files hold one ``features`` tensor and go only through `save_features`
-and `load_features`. Checkpoints hold the float parameters by name plus
-``meta/model``, a u8 vector of the UTF-8 JSON record of `ModelConfig`.
+Feature files hold one ``features`` tensor, stored as float32 (FEATURE_DTYPE,
+the precision the model trains in), and go only through `save_features` and
+`load_features`; the loader still reads the float64 files written before.
+Checkpoints hold the float parameters by name plus ``meta/model``, a u8 vector
+of the UTF-8 JSON record of `ModelConfig`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ FORMAT_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 MAX_RANK = 64  # numpy's own limit on array dimensions
+FEATURE_DTYPE = np.dtype(np.float32)
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -88,8 +91,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 
 def save_features(path, frames) -> None:
-    """Write one clip's (time, bands) frames as a feature file."""
-    save_tensors(path, {"features": frames})
+    """Write one clip's (time, bands) frames as a float32 feature file."""
+    save_tensors(path, {"features": np.asarray(frames, dtype=FEATURE_DTYPE)})
 
 
 def load_features(paths) -> np.ndarray:

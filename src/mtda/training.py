@@ -164,7 +164,8 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
             rest = list(rng.choice(rest, size=budget, replace=False))
         keep.extend(parallel + rest)
     rows_kept = [rows[i] for i in sorted(keep)]
-    vectors = load_features([r.feature_path for r in rows_kept]).mean(axis=1)  # time-average to 64-d
+    # time-average to 64-d, summing the float32 frames in float64
+    vectors = load_features([r.feature_path for r in rows_kept]).mean(axis=1, dtype=np.float64)
 
     # Large perplexity + mild exaggeration keep inter-cluster distances more
     # faithful, which is what the pair distances measure.
@@ -210,7 +211,7 @@ def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
     idx = np.concatenate([chosen_src, np.asarray(chosen_tgt, dtype=int)])
     u = u_row[idx]
     return Batch(
-        x=data.features[idx].astype(np.float32),
+        x=data.features[idx].astype(np.float32, copy=False),
         y_onehot=np.eye(len(data.classes))[np.where(u == 0, data.labels[idx], 0)],  # scene_loss masks target rows
         d_onehot=np.eye(len(data.devices))[u],
         u=u,
@@ -284,7 +285,7 @@ def _inference(model, x, batch_size=64):
     model's dtype. A generator, so only one batch's graph is alive at a time."""
     dtype = model.params["f/w"].dtype
     for lo in range(0, len(x), batch_size):
-        yield forward(model, x[lo : lo + batch_size].astype(dtype), lambda_d=0.0)
+        yield forward(model, x[lo : lo + batch_size].astype(dtype, copy=False), lambda_d=0.0)
 
 
 def predict(model, x):

@@ -1,18 +1,24 @@
 """Tests for the log-mel frontend."""
 
 import builtins
+import hashlib
 import io
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
-from scipy.signal import get_window
+from scipy.signal import get_window, resample_poly
 
 from mtda import audio
 from mtda.audio import (
     CLIP_SAMPLES,
+    FRAME_CHUNK,
     HOP,
     LOG_FLOOR,
+    N_MELS,
+    TARGET_RATE,
+    WINDOW,
     AudioClip,
     FeatureTensor,
     band_center_freqs,
@@ -22,7 +28,9 @@ from mtda.audio import (
     logmel,
     mel_filterbank,
     resample,
+    resample_filter,
 )
+from mtda.checkpoint import load_tensors
 from mtda.errors import ContractError
 from mtda.manifest import ManifestRow
 
@@ -67,6 +75,13 @@ class TestResample:
         with pytest.raises(ContractError):
             AudioClip(np.array([]), 32000)
 
+    @pytest.mark.parametrize("rate,up,down", [(44100, 320, 441), (48000, 2, 3)])
+    def test_cached_filter_matches_resample_poly(self, rate, up, down):
+        x = np.random.default_rng(4).uniform(-0.9, 0.9, 3 * rate)
+        expect = resample_poly(x, up, down)
+        assert resample(AudioClip(x, rate)).samples[: len(expect)].tobytes() == expect.tobytes()
+        assert resample_filter(up, down) is resample_filter(up, down)
+
 
 class TestLogmel:
     def test_silence_gives_constant_log_floor(self):
@@ -103,18 +118,50 @@ class TestLogmel:
         np.testing.assert_allclose(b[: 636], a[1:637], atol=1e-6)
 
 
+def whole_clip_logmel(x, window, filters):
+    """`logmel` as one pass over every frame of the clip at once."""
+    n_frames = (len(x) - WINDOW) // HOP + 1
+    idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n_frames)[:, None]
+    power = np.abs(np.fft.rfft(x[idx] * window, axis=1)) ** 2
+    return np.log(power @ filters.T + LOG_FLOOR)
+
+
+class TestChunkedLogmel:
+    @pytest.mark.parametrize(
+        "n_frames", [638, FRAME_CHUNK - 3, 2 * FRAME_CHUNK, 3 * FRAME_CHUNK + 1, 1],
+        ids=["ten-seconds", "under-one-chunk", "two-chunks", "ragged-last-chunk", "one-frame"],
+    )
+    def test_matches_whole_clip_bits(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        x = rng.uniform(-0.9, 0.9, WINDOW + (n_frames - 1) * HOP + HOP // 3)
+        frames = logmel(AudioClip(x, 32000)).frames
+        assert frames.shape == (n_frames, N_MELS)
+        assert frames.tobytes() == whole_clip_logmel(x, hann_window(), mel_filterbank()).tobytes()
+
+    def test_ten_second_clip_peaks_below_6_mb(self):
+        # a whole-clip pass holds the frame index, the frames, the windowed frames and the
+        # rfft at once: about 18 MB for 638 frames
+        clip = AudioClip(np.random.default_rng(5).uniform(-0.9, 0.9, CLIP_SAMPLES), 32000)
+        logmel(clip)  # build the shared filters outside the trace
+        tracemalloc.start()
+        try:
+            logmel(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
+
+
 class TestSharedFilters:
     def test_cached_arrays_are_read_only(self):
-        for shared in (mel_filterbank(), hann_window()):
+        for shared in (mel_filterbank(), hann_window(), resample_filter(2, 3)):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 1.0
 
     def test_logmel_matches_freshly_built_filters(self):
         x = np.random.default_rng(3).uniform(-0.9, 0.9, CLIP_SAMPLES)
-        idx = np.arange(1024)[None, :] + HOP * np.arange(638)[:, None]
-        power = np.abs(np.fft.rfft(x[idx] * get_window("hann", 1024, fftbins=True), axis=1)) ** 2
-        expect = np.log(power @ mel_filterbank.__wrapped__().T + LOG_FLOOR)
+        expect = whole_clip_logmel(x, get_window("hann", 1024, fftbins=True), mel_filterbank.__wrapped__())
         assert logmel(AudioClip(x, 32000)).frames.tobytes() == expect.tobytes()
 
 
@@ -164,6 +211,18 @@ class TestIngest:
         second = ingest(rows, out)
         assert second.rows[0].feature_path == feature_file
         assert os.stat(feature_file).st_mtime_ns == stamp
+
+    def test_stores_float32_under_a_name_that_hashes_the_dtype(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, 0.2 * np.sin(np.linspace(0, 100, 32000)), 32000)
+        result = ingest([ManifestRow(id="a", path=str(path), device="A", scene="metro")], tmp_path / "feat")
+        feature_path = result.rows[0].feature_path
+        # the name a float64 file got, before the digest held the stored dtype
+        old_digest = hashlib.sha256(
+            path.read_bytes() + f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}".encode()
+        ).hexdigest()[:16]
+        assert result.ok and not feature_path.endswith(f"a_{old_digest}.mtt")
+        assert load_tensors(feature_path)["features"].dtype == np.float32
 
     def test_each_file_is_read_once(self, tmp_path, monkeypatch):
         paths = [tmp_path / f"{i}.wav" for i in range(2)]

@@ -29,13 +29,14 @@ def test_round_trip(tmp_path):
 
 
 def test_feature_files_round_trip(tmp_path):
-    frames = np.random.default_rng(1).normal(size=(5, 64)).astype(np.float32)
+    """Feature files store float32 whatever the frames' dtype."""
+    frames = np.random.default_rng(1).normal(size=(5, 64))
     paths = [tmp_path / "a.mtt", tmp_path / "b.mtt"]
     for k, path in enumerate(paths):
         save_features(path, frames + k)
     loaded = load_features(paths)
     assert loaded.dtype == np.float32 and loaded.shape == (2, 5, 64)
-    np.testing.assert_array_equal(loaded, np.stack([frames, frames + 1]))
+    np.testing.assert_array_equal(loaded, np.stack([frames, frames + 1]).astype(np.float32))
 
 
 def test_container_without_features_is_no_feature_file(tmp_path):
@@ -70,10 +71,20 @@ def test_no_feature_files_is_an_error():
         load_features([])
 
 
+def test_float64_feature_files_still_load(tmp_path):
+    """Feature files were float64 before they were stored float32."""
+    frames = np.random.default_rng(2).normal(size=(2, 3, 64))
+    paths = [tmp_path / "a.mtt", tmp_path / "b.mtt"]
+    for path, one in zip(paths, frames):
+        save_tensors(path, {"features": one})
+    loaded = load_features(paths)
+    assert loaded.dtype == np.float64 and loaded.tobytes() == frames.tobytes()
+
+
 def test_mixed_feature_dtypes_are_rejected(tmp_path):
     paths = [tmp_path / f"{name}.mtt" for name in "abc"]
     for path, dtype in zip(paths, (np.float32, np.float64, np.float64)):
-        save_features(path, np.zeros((3, 64), dtype=dtype))
+        save_tensors(path, {"features": np.zeros((3, 64), dtype=dtype)})
     with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: feature dtype float64, earlier files float32")):
         load_features(paths)
 
@@ -96,7 +107,7 @@ def test_shapes_outrank_an_earlier_non_finite_file(tmp_path):
 
 def test_feature_loading_holds_one_copy(tmp_path):
     """The result and a few single-file buffers, never the per-file arrays beside a stacked copy."""
-    frames = np.zeros((64, 64))
+    frames = np.zeros((64, 64), dtype=np.float32)
     paths = [tmp_path / f"{k}.mtt" for k in range(200)]
     for k, path in enumerate(paths):
         save_features(path, frames + k)
@@ -106,7 +117,7 @@ def test_feature_loading_holds_one_copy(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(loaded, np.arange(200.0)[:, None, None] + frames)
+    np.testing.assert_array_equal(loaded, np.arange(200, dtype=np.float32)[:, None, None] + frames)
     assert peak <= loaded.nbytes + 4 * frames.nbytes, (peak, loaded.nbytes)
 
 

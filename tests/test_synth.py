@@ -125,6 +125,16 @@ class TestMakeDataset:
             f2 = load_features([r2.feature_path])[0]
             assert f1.tobytes() == f2.tobytes()
 
+    def test_feature_files_hold_the_float32_rounding(self, tmp_path):
+        rows = make_dataset(SynthConfig(**self.CONFIG), tmp_path / "f32")
+        assert load_features([r.feature_path for r in rows]).dtype == np.float32
+        # the first row is source device A, class 0, sample 0
+        seed = self.CONFIG["seed"]
+        clean = make_clean(0, self.CONFIG["n_classes"], np.random.default_rng([seed, 0, 0, 0]))
+        feat = apply_device(clean, DeviceProfile.from_magnitude("A", 0.0), np.random.default_rng([seed, 1000, 0, 0]))
+        assert rows[0].id == "A_c0_s0"
+        assert load_features([rows[0].feature_path])[0].tobytes() == feat.astype(np.float32).tobytes()
+
     def test_row_count_arithmetic(self, tmp_path):
         cfg = SynthConfig(
             n_classes=10,

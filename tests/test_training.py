@@ -11,6 +11,7 @@ from mtda import checkpoint
 from mtda.errors import ContractError
 from mtda.geometry import DomainEntry
 from mtda.models import AdversarialModel, Mode, ModelConfig, domain_loss_for_mode, forward, scene_loss
+from mtda.synth import make_dataset
 from mtda.training import (
     Adam,
     TrainConfig,
@@ -125,6 +126,27 @@ class TestTrain:
         b = train(cfg, rows, INDEX_TABLE)
         for k in a.model.params:
             assert a.model.params[k].tobytes() == b.model.params[k].tobytes()
+
+    def test_float32_files_train_like_the_float64_files_they_round(self, small_dataset, tmp_path, monkeypatch):
+        """Training rounds every batch to float32, so storing the rounded values changes no output byte."""
+        synth_config, rows = small_dataset
+
+        def save_float64(path, frames):  # what synth wrote before features were stored float32
+            checkpoint.save_tensors(path, {"features": frames})
+
+        monkeypatch.setattr(checkpoint, "save_features", save_float64)
+        wide = make_dataset(synth_config, tmp_path / "float64")
+        monkeypatch.undo()
+        assert load_dataset(wide).features.dtype == np.float64
+        assert load_dataset(rows).features.tobytes() == load_dataset(wide).features.astype(np.float32).tobytes()
+        cfg = TrainConfig(mode="mtda-c2", lambda_d=1.0, seed=3, **FAST)
+        reports = []
+        for name, manifest in (("float32", rows), ("float64", wide)):
+            model = train(cfg, manifest, INDEX_TABLE).model
+            model.save(tmp_path / f"{name}.mtda")
+            reports.append(evaluate(model, manifest))
+        assert (tmp_path / "float32.mtda").read_bytes() == (tmp_path / "float64.mtda").read_bytes()
+        assert reports[0] == reports[1]
 
     def test_lambda_zero_matches_supervised_gradients(self, small_dataset):
         # At lambda_d = 0 the F and C gradients of the full graph must be
