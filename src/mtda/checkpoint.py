@@ -6,9 +6,10 @@ Layout (all integers little-endian):
     per tensor: name length u16 | UTF-8 name | dtype code u8 (0=f32, 1=f64, 2=u8)
                 | rank u8 | dims u32[rank] | row-major payload
 
-Feature files hold one ``features`` tensor, stored as float32 (FEATURE_DTYPE,
-the precision the model trains in), and go only through `save_features` and
-`load_features`; the loader still reads the float64 files written before.
+Feature files hold one ``features`` tensor and go only through `save_features`
+and `load_features`, which store and load FEATURE_DTYPE (float32): this module
+alone decides the precision of features, so a float64 file written before
+loads as its float32 rounding. `models.forward` decides the compute precision.
 Checkpoints hold the float parameters by name plus ``meta/model``, a u8 vector
 of the UTF-8 JSON record of `ModelConfig`.
 """
@@ -96,36 +97,33 @@ def save_features(path, frames) -> None:
 
 
 def load_features(paths) -> np.ndarray:
-    """The frames of each feature file in `paths`, one row per file, in one array.
+    """The frames of each feature file in `paths` as FEATURE_DTYPE, one row per file, in one array.
 
     The files are read one at a time into an array allocated on the first, so
     the result and one file are all that is held at once. All files must share
-    one shape and dtype and be finite. A file with no `features` tensor is
-    reported first, then every distinct shape, then a dtype that differs from
-    the first file's, then the first file holding NaN or inf.
+    one shape and be finite once cast. A file with no `features` tensor is
+    reported first, then every distinct shape, then the first file holding
+    NaN, inf or a value beyond FEATURE_DTYPE's range.
     """
     if not paths:
         raise ContractError("no feature files to load")
     out = None
     shapes = set()
-    mixed_dtype = non_finite = None
+    non_finite = None
     for row, path in enumerate(paths):
         frames = load_tensors(path).get("features")
         if frames is None:
             raise ContractError(f"{path}: not a feature file (no 'features' tensor)")
         if out is None:
-            out = np.empty((len(paths), *frames.shape), frames.dtype)
+            out = np.empty((len(paths), *frames.shape), FEATURE_DTYPE)
         shapes.add(frames.shape)
-        if frames.dtype != out.dtype:
-            mixed_dtype = mixed_dtype or f"{path}: feature dtype {frames.dtype}, earlier files {out.dtype}"
-        elif len(shapes) == 1:
-            out[row] = frames
-        if non_finite is None and not np.isfinite(frames).all():
-            non_finite = path
+        if len(shapes) == 1:
+            with np.errstate(over="ignore"):  # out of range casts to inf, reported as non-finite
+                out[row] = frames
+            if non_finite is None and not np.isfinite(out[row]).all():
+                non_finite = path
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
-    if mixed_dtype:
-        raise ContractError(mixed_dtype)
     if non_finite is not None:
         raise ContractError(f"{non_finite}: non-finite feature values")
     return out

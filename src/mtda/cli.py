@@ -178,11 +178,13 @@ def cmd_eval(args, out):
 def cmd_sweep(args, out):
     cfg, rows, table = _train_inputs(args)
     results, best = sweep(cfg, rows, table)
-    table_rows = [[r["lambda_d"], "" if r["score"] is None else f"{r['score']:.6f}", r["error"] or ""] for r in results]
-    _write_csv(out / "sweep.csv", ["lambda_d", "score", "error"], table_rows)
+    scores = ("holdout_accuracy", "target_test_accuracy")
+    table_rows = [[r["lambda_d"], *("" if r[k] is None else f"{r[k]:.6f}" for k in scores), r["error"] or ""]
+                  for r in results]
+    _write_csv(out / "sweep.csv", ["lambda_d", *scores, "error"], table_rows)
     summary = {
         "best_lambda_d": best["lambda_d"] if best else None,
-        "results": [{"lambda_d": r["lambda_d"], "score": r["score"], "error": r["error"]} for r in results],
+        "results": [{k: r[k] for k in ("lambda_d", *scores, "error")} for r in results],
     }
     write_json(out / "sweep.json", summary)
     for r in results:
@@ -190,7 +192,7 @@ def cmd_sweep(args, out):
             write_json(out / f"report_lambda_{r['lambda_d']:g}.json", asdict(r["report"]))
     if not best:
         raise ContractError(f"no lambda_d value trained; at {results[0]['lambda_d']:g}: {results[0]['error']}")
-    print(f"best lambda_d = {best['lambda_d']:g} (score {best['score']:.3f})", file=sys.stderr)
+    print(f"best lambda_d = {best['lambda_d']:g} (holdout accuracy {best['holdout_accuracy']:.3f})", file=sys.stderr)
     return {"config": asdict(cfg), "index_table": index_table_payload(table)}
 
 

@@ -138,8 +138,8 @@ class ForwardPass:
 
 
 def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> ForwardPass:
-    """Build the computation graph for a batch x of shape (n, h, w) or (n, 1, h, w)."""
-    x = np.asarray(x)
+    """Build the computation graph, in the model's dtype, for a batch x of shape (n, h, w) or (n, 1, h, w)."""
+    x = np.asarray(x, dtype=model.params["f/w"].dtype)
     if x.ndim == 3:
         x = x[:, None, :, :]
     if x.ndim != 4 or x.shape[1] != 1:

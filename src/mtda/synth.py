@@ -13,6 +13,7 @@ mel features, so realism below that interface buys nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,8 +97,9 @@ def _stable_key(text: str) -> int:
     return key
 
 
+@functools.cache
 def class_pattern(class_id: int, n_classes: int) -> np.ndarray:
-    """Deterministic smooth 64x64 basis pattern for one class."""
+    """Deterministic smooth 64x64 basis pattern for one class, built once and shared, so read-only."""
     if class_id >= n_classes:
         raise ContractError(f"class id {class_id} out of range (K={n_classes})")
     rng = np.random.default_rng([_CLASS_KEY, class_id])
@@ -117,7 +119,9 @@ def class_pattern(class_id: int, n_classes: int) -> np.ndarray:
     profile = np.zeros(BANDS)
     for k in range(1, 4):
         profile += rng.normal() * np.sin(2 * np.pi * k * m + rng.uniform(0, 2 * np.pi)) / k
-    return pattern + 1.5 * profile[None, :]
+    pattern += 1.5 * profile[None, :]
+    pattern.flags.writeable = False
+    return pattern
 
 
 def make_clean(class_id: int, n_classes: int, rng: np.random.Generator) -> np.ndarray:

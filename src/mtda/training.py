@@ -5,7 +5,12 @@ target domains, so every domain appears in expectation each step. One Adam
 instance updates F, C and D jointly; the reversal node inside the model
 carries -lambda_d into F. Model selection uses held-out *source* accuracy
 (target labels are unavailable by the problem setting). Everything is
-deterministic given (config, seed, data bytes).
+deterministic given (config, seed, data bytes, BLAS kernel).
+
+This module names no dtype: `checkpoint` decides the precision features are
+stored and loaded in (`FEATURE_DTYPE`), and `models.forward` the precision the
+model computes in (its parameters' dtype). The one exception is the float64
+accumulator of `compute_index_table`'s time average.
 
 `train` returns the kept model and its `TrainReport` (loss curve, holdout
 accuracy); `evaluate` returns the `ExperimentReport` of test accuracies.
@@ -80,9 +85,6 @@ class Adam:
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for k, g in grads.items():
-            if g is None:
-                continue
-            g = g.astype(self.params[k].dtype, copy=False)
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1**self.t)
@@ -164,7 +166,7 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
             rest = list(rng.choice(rest, size=budget, replace=False))
         keep.extend(parallel + rest)
     rows_kept = [rows[i] for i in sorted(keep)]
-    # time-average to 64-d, summing the float32 frames in float64
+    # time-average to 64-d, summing the stored frames in float64
     vectors = load_features([r.feature_path for r in rows_kept]).mean(axis=1, dtype=np.float64)
 
     # Large perplexity + mild exaggeration keep inter-cluster distances more
@@ -211,7 +213,7 @@ def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
     idx = np.concatenate([chosen_src, np.asarray(chosen_tgt, dtype=int)])
     u = u_row[idx]
     return Batch(
-        x=data.features[idx].astype(np.float32, copy=False),
+        x=data.features[idx],
         y_onehot=np.eye(len(data.classes))[np.where(u == 0, data.labels[idx], 0)],  # scene_loss masks target rows
         d_onehot=np.eye(len(data.devices))[u],
         u=u,
@@ -281,11 +283,10 @@ def _accuracy(model, data, idx):
 
 
 def _inference(model, x, batch_size=64):
-    """Yield the lambda_d = 0 forward pass of each batch of `x`, cast to the
-    model's dtype. A generator, so only one batch's graph is alive at a time."""
-    dtype = model.params["f/w"].dtype
+    """Yield the lambda_d = 0 forward pass of each batch of `x`. A generator,
+    so only one batch's graph is alive at a time."""
     for lo in range(0, len(x), batch_size):
-        yield forward(model, x[lo : lo + batch_size].astype(dtype, copy=False), lambda_d=0.0)
+        yield forward(model, x[lo : lo + batch_size], lambda_d=0.0)
 
 
 def predict(model, x):
@@ -368,8 +369,10 @@ def export_embeddings(model: AdversarialModel, rows, n_per_device, seed=0, tsne_
 def sweep(config: TrainConfig, rows, index_table):
     """One train+evaluate per grid value; failures are recorded, not fatal.
 
-    Best lambda maximizes mean target-device accuracy, ties to the smaller
-    lambda. Targets are the devices the index table does not put at 0.
+    Best lambda maximizes held-out *source* accuracy, the rule `train` keeps
+    its epoch by, ties to the smaller lambda. Each value's mean target-device
+    test accuracy is reported beside it and selects nothing. Targets are the
+    devices the index table does not put at 0.
     """
     sources = {d for d, entry in index_table.items() if entry.index == 0}
     results = []
@@ -379,10 +382,12 @@ def sweep(config: TrainConfig, rows, index_table):
             outcome = train(run_cfg, rows, index_table)
             report = evaluate(outcome.model, rows, device_groups=config.device_groups)
             target_accs = [v["accuracy"] for d, v in report.per_device.items() if d not in sources]
-            score = float(np.mean(target_accs)) if target_accs else 0.0
-            results.append({"lambda_d": float(lam), "score": score, "report": report, "error": None})
+            results.append({"lambda_d": float(lam), "holdout_accuracy": outcome.report.best_holdout_accuracy,
+                            "target_test_accuracy": float(np.mean(target_accs)) if target_accs else 0.0,
+                            "report": report, "error": None})
         except (ContractError, NumericError) as exc:
-            results.append({"lambda_d": float(lam), "score": None, "report": None, "error": str(exc)})
-    scored = [r for r in results if r["score"] is not None]
-    best = min(scored, key=lambda r: (-r["score"], r["lambda_d"])) if scored else None
+            results.append({"lambda_d": float(lam), "holdout_accuracy": None, "target_test_accuracy": None,
+                            "report": None, "error": str(exc)})
+    trained = [r for r in results if r["error"] is None]
+    best = min(trained, key=lambda r: (-r["holdout_accuracy"], r["lambda_d"])) if trained else None
     return results, best

@@ -72,20 +72,32 @@ def test_no_feature_files_is_an_error():
 
 
 def test_float64_feature_files_still_load(tmp_path):
-    """Feature files were float64 before they were stored float32."""
+    """Feature files were float64 before they were stored float32; they load as their float32 rounding."""
     frames = np.random.default_rng(2).normal(size=(2, 3, 64))
     paths = [tmp_path / "a.mtt", tmp_path / "b.mtt"]
     for path, one in zip(paths, frames):
         save_tensors(path, {"features": one})
     loaded = load_features(paths)
-    assert loaded.dtype == np.float64 and loaded.tobytes() == frames.tobytes()
+    assert loaded.dtype == np.float32 and loaded.tobytes() == frames.astype(np.float32).tobytes()
 
 
-def test_mixed_feature_dtypes_are_rejected(tmp_path):
+def test_mixed_feature_dtypes_load_as_their_float32_rounding(tmp_path):
+    frames = np.random.default_rng(3).normal(size=(3, 3, 64))
     paths = [tmp_path / f"{name}.mtt" for name in "abc"]
-    for path, dtype in zip(paths, (np.float32, np.float64, np.float64)):
-        save_tensors(path, {"features": np.zeros((3, 64), dtype=dtype)})
-    with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: feature dtype float64, earlier files float32")):
+    for path, one, dtype in zip(paths, frames, (np.float32, np.float64, np.float64)):
+        save_tensors(path, {"features": one.astype(dtype)})
+    loaded = load_features(paths)
+    assert loaded.dtype == np.float32 and loaded.tobytes() == frames.astype(np.float32).tobytes()
+
+
+def test_float64_value_beyond_float32_range_is_non_finite(tmp_path):
+    """1e39 is finite in a float64 file and inf once loaded as float32."""
+    paths = [tmp_path / "a.mtt", tmp_path / "big.mtt"]
+    save_features(paths[0], np.zeros((3, 64)))
+    big = np.zeros((3, 64))
+    big[1, 5] = 1e39
+    save_tensors(paths[1], {"features": big})
+    with pytest.raises(ContractError, match=re.escape(f"{paths[1]}: non-finite feature values")):
         load_features(paths)
 
 

@@ -395,7 +395,7 @@ class TestSweepCommand:
         summary = json.loads((out / "sweep.json").read_text())
         assert [r["lambda_d"] for r in summary["results"]] == [0.5, 1.0]
         assert summary["best_lambda_d"] in (0.5, 1.0)
-        assert (out / "sweep.csv").exists()
+        assert (out / "sweep.csv").read_text().splitlines()[0] == "lambda_d,holdout_accuracy,target_test_accuracy,error"
         assert (out / "report_lambda_0.5.json").exists()
 
     def test_every_value_failing_exits_one(self, train_inputs, tmp_path, capsys):

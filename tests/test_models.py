@@ -51,6 +51,17 @@ class TestForward:
         assert fwd.y_logits.shape == (3, 5)
         assert fwd.d_out.shape == (3, 4)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_computes_in_the_model_dtype(self, mode):
+        x = RNG.normal(size=(3, 1, 16, 16))
+        fwd = forward(make_model(mode, dtype=np.float32), x)
+        assert {t.value.dtype for t in (fwd.z, fwd.y_logits, fwd.d_out)} == {np.dtype(np.float32)}
+        # a float64 model widens float32 input exactly, so it computes as on float64 input
+        model = make_model(mode)
+        narrow, wide = forward(model, x.astype(np.float32)), forward(model, x.astype(np.float32).astype(np.float64))
+        for a, b in ((narrow.z, wide.z), (narrow.y_logits, wide.y_logits), (narrow.d_out, wide.d_out)):
+            assert a.value.dtype == np.float64 and a.value.tobytes() == b.value.tobytes()
+
     def test_regression_head_is_raw_scalar(self):
         model = make_model(Mode.MTDA_R)
         fwd = forward(model, RNG.normal(size=(4, 1, 16, 16)))

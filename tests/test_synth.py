@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtda.checkpoint import load_features
+from mtda.checkpoint import load_features, load_tensors
 from mtda.errors import ContractError
 from mtda.manifest import read_manifest
 from mtda.synth import (
@@ -127,13 +127,20 @@ class TestMakeDataset:
 
     def test_feature_files_hold_the_float32_rounding(self, tmp_path):
         rows = make_dataset(SynthConfig(**self.CONFIG), tmp_path / "f32")
-        assert load_features([r.feature_path for r in rows]).dtype == np.float32
+        # load_features returns float32 whatever a file holds, so read what is stored
+        assert all(load_tensors(r.feature_path)["features"].dtype == np.float32 for r in rows)
         # the first row is source device A, class 0, sample 0
         seed = self.CONFIG["seed"]
         clean = make_clean(0, self.CONFIG["n_classes"], np.random.default_rng([seed, 0, 0, 0]))
         feat = apply_device(clean, DeviceProfile.from_magnitude("A", 0.0), np.random.default_rng([seed, 1000, 0, 0]))
         assert rows[0].id == "A_c0_s0"
-        assert load_features([rows[0].feature_path])[0].tobytes() == feat.astype(np.float32).tobytes()
+        assert load_tensors(rows[0].feature_path)["features"].tobytes() == feat.astype(np.float32).tobytes()
+
+    def test_each_class_pattern_is_built_once(self, tmp_path):
+        class_pattern.cache_clear()
+        make_dataset(SynthConfig(**self.CONFIG), tmp_path / "once")
+        assert class_pattern.cache_info().misses == self.CONFIG["n_classes"]
+        assert not class_pattern(0, self.CONFIG["n_classes"]).flags.writeable
 
     def test_row_count_arithmetic(self, tmp_path):
         cfg = SynthConfig(

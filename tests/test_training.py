@@ -128,7 +128,7 @@ class TestTrain:
             assert a.model.params[k].tobytes() == b.model.params[k].tobytes()
 
     def test_float32_files_train_like_the_float64_files_they_round(self, small_dataset, tmp_path, monkeypatch):
-        """Training rounds every batch to float32, so storing the rounded values changes no output byte."""
+        """Feature files load as float32 whatever they store, so storing the rounded values changes no output byte."""
         synth_config, rows = small_dataset
 
         def save_float64(path, frames):  # what synth wrote before features were stored float32
@@ -137,8 +137,8 @@ class TestTrain:
         monkeypatch.setattr(checkpoint, "save_features", save_float64)
         wide = make_dataset(synth_config, tmp_path / "float64")
         monkeypatch.undo()
-        assert load_dataset(wide).features.dtype == np.float64
-        assert load_dataset(rows).features.tobytes() == load_dataset(wide).features.astype(np.float32).tobytes()
+        assert checkpoint.load_tensors(wide[0].feature_path)["features"].dtype == np.float64
+        assert load_dataset(rows).features.tobytes() == load_dataset(wide).features.tobytes()
         cfg = TrainConfig(mode="mtda-c2", lambda_d=1.0, seed=3, **FAST)
         reports = []
         for name, manifest in (("float32", rows), ("float64", wide)):
@@ -356,11 +356,21 @@ class TestSweep:
         cfg = TrainConfig(mode="dann", seed=8, lambda_grid=(0.5, 1.0), **FAST)
         results, best = sweep(cfg, rows, INDEX_TABLE)
         assert [r["lambda_d"] for r in results] == [0.5, 1.0]
-        scores = [r["score"] for r in results]
+        scores = [r["holdout_accuracy"] for r in results]
         if scores[0] == scores[1]:
             assert best["lambda_d"] == 0.5
         else:
-            assert best["score"] == max(scores)
+            assert best["holdout_accuracy"] == max(scores)
+
+    def test_selection_reads_no_test_label(self, small_dataset):
+        """Rotating the test rows' scene labels moves the target test scores, not the chosen lambda."""
+        _, rows = small_dataset
+        rotated = [replace(r, scene=f"scene{(int(r.scene[5:]) + 2) % 3}") if r.split == "test" else r for r in rows]
+        cfg = TrainConfig(mode="mtda-c2", seed=1, lambda_grid=(0.5, 2.0, 8.0), **{**FAST, "epochs": 4})
+        (results, best), (moved, best_moved) = sweep(cfg, rows, INDEX_TABLE), sweep(cfg, rotated, INDEX_TABLE)
+        assert [r["target_test_accuracy"] for r in results] != [r["target_test_accuracy"] for r in moved]
+        assert [r["holdout_accuracy"] for r in results] == [r["holdout_accuracy"] for r in moved]
+        assert best["lambda_d"] == best_moved["lambda_d"]
 
 
 class TestIndexPipeline:
