@@ -7,6 +7,15 @@ following the reference algorithm on a fixed schedule: learning rate 200,
 momentum 0.5 for the first 250 iterations and 0.8 after, and early
 exaggeration over those same 250 iterations; short runs cap that early
 phase at a quarter of `iters`. Everything is seeded and deterministic.
+
+At most three n x n float64 arrays are alive at once (4.9 MiB each at 800
+points, 24.7 MiB at 1800): P and, during the descent, the kernel and weight
+buffers of the gradient, allocated once per run; `kl_divergence` adds a bool
+p > 0 mask. `affinities` calibrates the rows in blocks of about BLOCK_BYTES
+taken from the distance matrix, and the early phase scales P one row block
+at a time instead of keeping an exaggerated copy. Blocking keeps every bit:
+each row is calibrated on its own, and each element is computed by the same
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ _CALIBRATE_TOL = 1e-4  # on |2^H - perplexity|
 _LEARNING_RATE = 200.0
 _MOMENTUM_EARLY, _MOMENTUM_LATE = 0.5, 0.8
 _EARLY_ITERS = 250  # momentum switch and end of exaggeration
+
+# A row block's float64 rows take about this many bytes; a block holds at least one row.
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -47,8 +59,8 @@ def _calibrate(sq, perplexity):
     `sq` is (m, n-1): each row holds one point's squared distances to the
     other points. Each row stops once 2^H(p) is within tolerance of
     `perplexity`; only rows still searching are recomputed. Returns
-    (sigma, probabilities); rows that never converge keep the last
-    bandwidth tried, with one warning for the call.
+    (sigma, probabilities, gaps): rows that never converge keep the last
+    bandwidth tried, and `gaps` holds their |2^H - perplexity|.
     """
     sq = np.asarray(sq, dtype=np.float64)
     if np.any(sq < 0):
@@ -76,14 +88,17 @@ def _calibrate(sq, perplexity):
         lo = beta_lo[rows] = np.where(flat, b, beta_lo[rows])
         hi = beta_hi[rows] = np.where(flat, beta_hi[rows], b)
         beta[rows] = np.maximum(np.where(np.isinf(hi), b * 2.0, (lo + hi) / 2.0), _BETA_FLOOR)
-    if rows.size:
-        gap = np.abs(2.0 ** h[rows] - perplexity).max()
+    return np.sqrt(1.0 / (2.0 * beta)), probs, np.abs(2.0 ** h[rows] - perplexity)
+
+
+def _warn_unconverged(gaps, m):
+    """One warning for the rows of a call whose calibration did not converge."""
+    if gaps.size:
         warnings.warn(
-            f"perplexity calibration did not converge for {rows.size} of {m} rows "
-            f"(max |2^H - perp| = {gap:.3g})",
+            f"perplexity calibration did not converge for {gaps.size} of {m} rows "
+            f"(max |2^H - perp| = {gaps.max():.3g})",
             RuntimeWarning,
         )
-    return np.sqrt(1.0 / (2.0 * beta)), probs
 
 
 def perplexity_calibrate(sq_distances_row, perplexity):
@@ -93,7 +108,8 @@ def perplexity_calibrate(sq_distances_row, perplexity):
     search targets 2^H(p) == perplexity. Returns (sigma, probabilities). On
     non-convergence the best bandwidth found is returned with a warning.
     """
-    sigma, p = _calibrate(np.asarray(sq_distances_row)[None], perplexity)
+    sigma, p, gaps = _calibrate(np.asarray(sq_distances_row)[None], perplexity)
+    _warn_unconverged(gaps, 1)
     return float(sigma[0]), p[0]
 
 
@@ -116,22 +132,43 @@ def pairwise_sq_distances(x):
     return d
 
 
+def _row_blocks(n):
+    """Slices of n rows, in order, each as many rows of n float64 as fit
+    BLOCK_BYTES (at least one)."""
+    step = max(1, BLOCK_BYTES // (8 * n))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def affinities(x, perplexity):
-    """Symmetrized joint affinity matrix P (sums to 1, zero diagonal)."""
+    """Symmetrized joint affinity matrix P (sums to 1, zero diagonal).
+
+    Rows are calibrated one block at a time, each block's conditional
+    probabilities written into `cond` off its diagonal; the distances are then
+    freed and `cond` becomes P in place, as (cond + cond.T) / (2n).
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 3:
         raise ContractError("need at least 3 points")
-    mask = ~np.eye(n, dtype=bool)
+    d = pairwise_sq_distances(x)
     cond = np.zeros((n, n))
-    cond[mask] = _calibrate(pairwise_sq_distances(x)[mask].reshape(n, n - 1), perplexity)[1].ravel()
-    p_joint = (cond + cond.T) / (2.0 * n)
-    np.fill_diagonal(p_joint, 0.0)
-    return p_joint
+    gaps = []
+    for b in _row_blocks(n):
+        off = np.arange(b.start, b.stop)[:, None] != np.arange(n)
+        _, probs, gap = _calibrate(d[b][off].reshape(-1, n - 1), perplexity)
+        cond[b][off] = probs.ravel()
+        gaps.append(gap)
+    del d
+    _warn_unconverged(np.concatenate(gaps), n)
+    cond += cond.T  # numpy buffers the overlapping transpose
+    cond /= 2.0 * n
+    np.fill_diagonal(cond, 0.0)
+    return cond
 
 
-def _student_t_q(y):
-    """Normalized Student-t similarities and the unnormalized kernel.
+def _student_t_q(y, num=None, q=None):
+    """Normalized Student-t similarities and the unnormalized kernel, written
+    into `num` and `q` when given (n x n float64), else into new arrays.
 
     The embedding's squared distances are exact differences, (y_i - y_j)^2
     summed over its two coordinates, not the Gram form: with K=2 they cost a
@@ -140,33 +177,52 @@ def _student_t_q(y):
     """
     from scipy.spatial.distance import cdist  # ~0.4 s to import; only t-SNE needs it
 
-    num = cdist(y, y, "sqeuclidean")
+    num = cdist(y, y, "sqeuclidean", out=num)
     num += 1.0
     np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
+    q = np.divide(num, num.sum(), out=q)
     np.maximum(q, 1e-12, out=q)
     return q, num
 
 
 def kl_divergence(p, y):
-    q, _ = _student_t_q(np.asarray(y, dtype=np.float64))
+    """KL(P || Q), summed over the pairs where p > 0.
+
+    Q's kernel is freed at once and Q is indexed once; the ratio, its log and
+    the product with P are formed in that one array, whose 1-D sum is the
+    dense `(p[nz] * log(p[nz] / q[nz])).sum()` bit for bit.
+    """
+    q = _student_t_q(np.asarray(y, dtype=np.float64))[0]
     nz = p > 0
-    return float((p[nz] * np.log(p[nz] / q[nz])).sum())
+    terms = q[nz]
+    del q
+    np.divide(p[nz], terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= p[nz]
+    return float(terms.sum())
 
 
-def kl_gradient(p, y):
-    """dKL/dY for fixed P; the standard 4 * sum (p-q) num (y_i - y_j) form.
+def kl_gradient(p, y, exaggeration=1.0, num=None, w=None):
+    """dKL/dY for fixed P scaled by `exaggeration`; the standard
+    4 * sum (e*p - q) num (y_i - y_j) form.
 
-    Computed as 4 * ((diag(rowsum(w)) - w) @ y) with w = (p - q) * num, in
-    place in q's buffer. w's diagonal is exactly zero (num's is), so that
-    matrix is 0 - w with the row sums on its diagonal, bit for bit. The
-    `rowsum * y - w @ y` form is cheaper but rounds differently, and the
-    descent amplifies that into different embeddings.
+    Computed as 4 * ((diag(rowsum(w)) - w) @ y) with w = (e*p - q) * num, in
+    place in q's buffer (`w`, with `num`, may be passed in to be reused).
+    e*p - q is formed one row block at a time, so no scaled copy of P exists.
+    w's diagonal is exactly zero (num's is), so that matrix is 0 - w with the
+    row sums on its diagonal, bit for bit. The `rowsum * y - w @ y` form is
+    cheaper but rounds differently, and the descent amplifies that into
+    different embeddings; for the same reason the GEMM stays whole, since
+    BLAS rounds a product of a few rows differently.
     """
     y = np.asarray(y, dtype=np.float64)
-    w, num = _student_t_q(y)
-    np.subtract(p, w, out=w)
+    w, num = _student_t_q(y, num, w)
+    if exaggeration == 1.0:  # the same bits without a scaling pass (about 5 % of a call at n=800)
+        np.subtract(p, w, out=w)
+    else:
+        for b in _row_blocks(len(y)):
+            np.subtract(p[b] * exaggeration, w[b], out=w[b])
     w *= num
     rows = w.sum(axis=1)
     np.subtract(0.0, w, out=w)
@@ -206,11 +262,9 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     # Short runs shrink the early phase proportionally; exaggeration must
     # end well before the run does or the final KL reflects the wrong target.
     early = min(_EARLY_ITERS, cfg.iters // 4)
-    p_eff = p * cfg.exaggeration
+    num, w = np.empty((n, n)), np.empty((n, n))
     for it in range(cfg.iters):
-        if it == early:
-            p_eff = p  # drops the scaled copy
-        grad = kl_gradient(p_eff, y)
+        grad = kl_gradient(p, y, cfg.exaggeration if it < early else 1.0, num, w)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
         momentum = _MOMENTUM_EARLY if it < early else _MOMENTUM_LATE
@@ -220,5 +274,6 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
         y = y + velocity
         y = y - y.mean(axis=0)
 
+    del num, w
     kl_final = kl_divergence(p, y)
     return Embedding(points=y, kl_initial=kl_initial, kl_final=kl_final)

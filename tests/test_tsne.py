@@ -1,10 +1,12 @@
 """Tests for the exact t-SNE implementation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from mtda import tsne
 from mtda.errors import ContractError
 from mtda.tsne import (
     TsneConfig,
@@ -94,16 +96,27 @@ class TestAffinities:
 
     @pytest.mark.parametrize("perp", [2.0, 8.0, 30.0])
     def test_matches_row_by_row_calibration_bitwise(self, perp):
-        x = np.random.default_rng(21).normal(size=(40, 5))
-        n = len(x)
-        d = pairwise_sq_distances(x)
-        cond = np.zeros((n, n))
-        for i in range(n):
-            others = np.arange(n) != i
-            cond[i, others] = perplexity_calibrate(d[i, others], perp)[1]
-        expected = (cond + cond.T) / (2.0 * n)
-        np.fill_diagonal(expected, 0.0)
-        np.testing.assert_array_equal(affinities(x, perp), expected)
+        sizes = [b.stop - b.start for b in tsne._row_blocks(300)]
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]  # 300 rows: three row blocks, the last one short
+        for n in (40, 300):
+            x = np.random.default_rng(21).normal(size=(n, 5))
+            assert affinities(x, perp).tobytes() == _dense_affinities(x, perp).tobytes()
+
+    def test_unconverged_rows_in_two_blocks_warn_once(self, monkeypatch):
+        # rows 2 and 7 cannot reach perplexity 2 (each has two nearest
+        # neighbours at one distance); blocks of two rows put them apart
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [5.0, 5.0], [5.0, 5.0], [3.0, 7.0], [6.0, 1.0]])
+        monkeypatch.setattr(tsne, "BLOCK_BYTES", 2 * 8 * len(x))
+        assert [(b.start, b.stop) for b in tsne._row_blocks(len(x))] == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = affinities(x, 2.0)
+        assert [str(w.message).split(" (")[0] for w in caught] == [
+            "perplexity calibration did not converge for 2 of 8 rows"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert p.tobytes() == _dense_affinities(x, 2.0).tobytes()
 
     def test_duplicate_points_allowed(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
@@ -125,6 +138,19 @@ class TestGradient:
         analytic = kl_gradient(p, y)
         numeric = numerical_grad(lambda yy: kl_divergence(p, yy), y.copy())
         assert_grads_close(analytic, numeric, rtol=1e-4)
+
+
+def _dense_affinities(x, perp):
+    """Each row calibrated on its own, then (cond + cond.T) / (2n)."""
+    n = len(x)
+    d = pairwise_sq_distances(x)
+    cond = np.zeros((n, n))
+    for i in range(n):
+        others = np.arange(n) != i
+        cond[i, others] = perplexity_calibrate(d[i, others], perp)[1]
+    expected = (cond + cond.T) / (2.0 * n)
+    np.fill_diagonal(expected, 0.0)
+    return expected
 
 
 def _dense_sq_distances(x):
@@ -163,17 +189,23 @@ class TestKernelsMatchDenseReference:
     change into a different layout. The descent's Q takes exact-difference
     distances; `pairwise_sq_distances` keeps the Gram form for `affinities`."""
 
-    @pytest.mark.parametrize("n", [7, 50, 300])
+    @pytest.mark.parametrize("n", [7, 50, 300])  # n=300 scales P in three row blocks
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
-    @pytest.mark.parametrize("exaggeration", [1.0, 4.0])
+    @pytest.mark.parametrize("exaggeration", [1.0, 4.0, 12.0])
     def test_bitwise(self, n, scale, exaggeration):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 5))
-        p = exaggeration * affinities(x, max(2.0, min(30.0, n / 4.0)))
+        p = affinities(x, max(2.0, min(30.0, n / 4.0)))
         y = rng.normal(scale=scale, size=(n, 2))
         assert pairwise_sq_distances(y).tobytes() == _dense_sq_distances(y).tobytes()
-        assert np.float64(kl_divergence(p, y)).tobytes() == np.float64(_dense_kl_divergence(p, y)).tobytes()
-        assert kl_gradient(p, y).tobytes() == _dense_kl_gradient(p, y).tobytes()
+        for p_in in (p, exaggeration * p):
+            assert np.float64(kl_divergence(p_in, y)).tobytes() == np.float64(_dense_kl_divergence(p_in, y)).tobytes()
+            assert kl_gradient(p_in, y).tobytes() == _dense_kl_gradient(p_in, y).tobytes()
+        expected = _dense_kl_gradient(exaggeration * p, y).tobytes()
+        assert kl_gradient(p, y, exaggeration).tobytes() == expected
+        # reused buffers are overwritten whole, whatever they held
+        dirty = np.full((n, n), np.nan), np.full((n, n), np.nan)
+        assert kl_gradient(p, y, exaggeration, *dirty).tobytes() == expected
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2])
     def test_distances_of_feature_vectors_bitwise(self, scale):
@@ -196,7 +228,52 @@ class TestKernelsMatchDenseReference:
         assert exact <= 3 * np.finfo(np.float64).eps  # a difference, a square and a sum, each rounded once
 
 
+def _dense_run_tsne(x, cfg):
+    """`run_tsne`'s schedule on the dense kernels, with P scaled by a product
+    during the early phase."""
+    n = len(x)
+    p = _dense_affinities(x, max(2.0, min(30.0, n / 4.0, n - 1)))  # the default perplexity
+    y = np.random.default_rng(cfg.seed).normal(scale=1e-4, size=(n, 2))
+    kl_initial = _dense_kl_divergence(p, y)
+    velocity, gains = np.zeros_like(y), np.ones_like(y)
+    early = min(250, cfg.iters // 4)
+    for it in range(cfg.iters):
+        grad = _dense_kl_gradient((cfg.exaggeration if it < early else 1.0) * p, y)
+        gains = np.maximum(np.where(np.sign(grad) != np.sign(velocity), gains + 0.2, gains * 0.8), 0.01)
+        velocity = (0.5 if it < early else 0.8) * velocity - 200.0 * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y, kl_initial, _dense_kl_divergence(p, y)
+
+
 class TestRunTsne:
+    @pytest.mark.parametrize("exaggeration", [4.0, 12.0])
+    def test_matches_dense_descent_bitwise(self, monkeypatch, exaggeration):
+        # 27-row blocks: 200 rows make 7 whole blocks and one of 11
+        monkeypatch.setattr(tsne, "BLOCK_BYTES", 27 * 8 * 200)
+        x = np.random.default_rng(12).normal(size=(200, 16))
+        cfg = TsneConfig(iters=40, exaggeration=exaggeration, seed=5)  # early phase ends at 10
+        emb = run_tsne(x, cfg)
+        points, kl_initial, kl_final = _dense_run_tsne(x, cfg)
+        assert emb.points.tobytes() == points.tobytes()
+        assert np.float64(emb.kl_initial).tobytes() == np.float64(kl_initial).tobytes()
+        assert np.float64(emb.kl_final).tobytes() == np.float64(kl_final).tobytes()
+
+    @pytest.mark.parametrize("n", [600, 800])
+    def test_peak_is_three_n_by_n_arrays(self, n):
+        # P and the gradient's two buffers, plus the bool p > 0 mask of
+        # kl_divergence; scipy is imported first so its modules are not counted
+        import scipy.spatial.distance  # noqa: F401
+
+        x = np.random.default_rng(n).normal(size=(n, 64))
+        tracemalloc.start()
+        try:
+            run_tsne(x, TsneConfig(iters=20, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+
     def test_kl_decreases(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 5))
