@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthesize a dataset, compute domain indices, train one
-model per mode, evaluate, re-evaluate one saved checkpoint, run a short
-two-value lambda sweep, and export the checkpoint's t-SNE embedding.
+model per mode, evaluate, re-evaluate one saved checkpoint, run a two-value
+lambda sweep, and export the checkpoint's t-SNE embedding.
 Everything goes through the `mtda` CLI so this doubles as a smoke test of
 the command surface.
 
@@ -81,8 +81,7 @@ def main():
         "--manifest", str(data / "manifest.csv"),
         "--index", str(WORK / "index" / "index.json"),
         "--out", str(WORK / "sweep"),
-        "--override", "lambda_grid=0.5,2",
-        "--override", "epochs=3",
+        "--override", "lambda_grid=0.2,2",
     )
     cli(
         "export-embeddings",

@@ -141,12 +141,10 @@ def logmel(clip: AudioClip) -> FeatureTensor:
     return FeatureTensor(frames=np.log(mel + LOG_FLOOR))
 
 
-def load_wav(path, payload=None) -> AudioClip:
-    """Read 16-bit PCM RIFF WAV; stereo is downmixed by channel averaging.
-
-    `payload` is the file's bytes when the caller has read them already;
-    `path` then only names the file in errors."""
-    with wave.open(str(path) if payload is None else io.BytesIO(payload), "rb") as wf:
+def load_wav(path, payload) -> AudioClip:
+    """Decode `payload`, the bytes of a 16-bit PCM RIFF WAV file; stereo is
+    downmixed by channel averaging. `path` only names the file in errors."""
+    with wave.open(io.BytesIO(payload), "rb") as wf:
         if wf.getsampwidth() != 2:
             raise ContractError(f"{path}: only 16-bit PCM WAV is supported")
         rate = wf.getframerate()

@@ -16,7 +16,7 @@ outputs go to files only; diagnostics go to stderr. Exit codes: 0 success,
 
 Files that are only outputs (``run.json``, reports, logs, accuracy, sweep and
 embedding tables) are written here alone, by ``write_json`` and
-``_write_csv``. Files the library reads back (``index.json``, checkpoints,
+``write_csv``. Files the library reads back (``index.json``, checkpoints,
 features, manifests) keep their save/load pair in the module that owns them.
 A report is ``evaluate``'s record, the same from ``train``, ``eval`` and
 ``sweep``; the loss curve goes only to ``train_log.csv``.
@@ -25,7 +25,6 @@ A report is ``evaluate``'s record, the same from ``train``, ``eval`` and
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 import warnings
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtda.errors import ContractError, NumericError, read_json, write_json
+from mtda.errors import ContractError, NumericError, read_json, write_csv, write_json
 from mtda.geometry import index_table_payload, load_index_table, save_index_table
 from mtda.manifest import read_manifest, write_manifest
 from mtda.models import AdversarialModel
@@ -55,6 +54,8 @@ _FLAGS = {
     "checkpoint": {"help": "model checkpoint"},
     "override": {"action": "append", "default": [], "metavar": "KEY=VALUE", "help": "set one config field"},
     "seed": {"type": _seed, "help": "random seed (replaces the config's, if any)"},
+    "tsne-iters": {"type": int, "default": 500, "help": "t-SNE gradient descent iterations"},
+    "n-per-device": {"type": int, "default": 50, "help": "rows embedded per device"},
 }
 
 
@@ -95,20 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in (*required, *optional):
             p.add_argument(f"--{flag}", required=flag in required, **_FLAGS[flag])
         p.set_defaults(handler=handler, **defaults)
-        return p
 
     add("synth", cmd_synth, "generate a synthetic multi-device dataset", ["config"], ["seed"])
     add("ingest", cmd_ingest, "extract log-mel features for a WAV manifest", ["manifest"])
-    p = add("index", cmd_index, "compute domain distances and indices", ["manifest"], ["seed"], seed=0)
-    p.add_argument("--tsne-iters", type=int, default=500)
+    add("index", cmd_index, "compute domain distances and indices", ["manifest"], ["seed", "tsne-iters"], seed=0)
     add("train", cmd_train, "adversarial training run", ["config", "manifest", "index"], ["override", "seed"])
     add("eval", cmd_eval, "evaluate a checkpoint on the test split", ["checkpoint", "manifest"], ["config"])
     add("sweep", cmd_sweep, "train+evaluate across the lambda grid", ["config", "manifest", "index"],
         ["override", "seed"])
-    p = add("export-embeddings", cmd_export, "t-SNE CSV of learned features", ["checkpoint", "manifest"],
-            ["seed"], seed=0)
-    p.add_argument("--n-per-device", type=int, default=50)
-    p.add_argument("--tsne-iters", type=int, default=500)
+    add("export-embeddings", cmd_export, "t-SNE CSV of learned features", ["checkpoint", "manifest"],
+        ["seed", "n-per-device", "tsne-iters"], seed=0)
     return parser
 
 
@@ -162,7 +159,7 @@ def cmd_train(args, out):
     result = train(cfg, rows, table)
     seconds, holdout = time.monotonic() - start, result.report.best_holdout_accuracy
     print(f"trained in {seconds:.1f} s, best holdout accuracy {holdout:.3f}", file=sys.stderr)
-    _write_csv(out / "train_log.csv", ["step", "L_y", "L_d", "L_total"], result.report.loss_curve)
+    write_csv(out / "train_log.csv", ["step", "L_y", "L_d", "L_total"], result.report.loss_curve)
     result.model.save(out / "checkpoint.mtda")
     _write_report(evaluate(result.model, rows, device_groups=cfg.device_groups), out)
     return {"config": asdict(cfg), "index_table": index_table_payload(table)}
@@ -181,7 +178,7 @@ def cmd_sweep(args, out):
     scores = ("holdout_accuracy", "target_test_accuracy")
     table_rows = [[r["lambda_d"], *("" if r[k] is None else f"{r[k]:.6f}" for k in scores), r["error"] or ""]
                   for r in results]
-    _write_csv(out / "sweep.csv", ["lambda_d", *scores, "error"], table_rows)
+    write_csv(out / "sweep.csv", ["lambda_d", *scores, "error"], table_rows)
     summary = {
         "best_lambda_d": best["lambda_d"] if best else None,
         "results": [{k: r[k] for k in ("lambda_d", *scores, "error")} for r in results],
@@ -205,7 +202,7 @@ def cmd_export(args, out):
         tsne_iters=args.tsne_iters,
     )
     points = [[r.id, r.device, r.scene, f"{y0:.6f}", f"{y1:.6f}"] for r, (y0, y1) in zip(chosen, emb.points)]
-    _write_csv(out / "embeddings.csv", ["id", "device", "scene", "y0", "y1"], points)
+    write_csv(out / "embeddings.csv", ["id", "device", "scene", "y0", "y1"], points)
 
 
 def _write_report(report, out):
@@ -213,14 +210,7 @@ def _write_report(report, out):
     write_json(out / "report.json", asdict(report))
     devices = [[d, "device", f"{s['accuracy']:.6f}", s["count"]] for d, s in sorted(report.per_device.items())]
     groups = [[g, "group", f"{acc:.6f}", ""] for g, acc in sorted(report.groups.items())]
-    _write_csv(out / "accuracy.csv", ["name", "kind", "accuracy", "count"], devices + groups)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(out / "accuracy.csv", ["name", "kind", "accuracy", "count"], devices + groups)
 
 
 if __name__ == "__main__":

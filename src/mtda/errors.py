@@ -3,12 +3,13 @@
 Exit-code mapping in the CLI: ContractError / ShapeError / NumericError -> 1,
 OS-level failures -> 2. `read_json` reads every JSON input file, so a file
 that does not parse is an error naming it; `write_json` writes every JSON
-file. `check` alone decides whether a value read from a config file, an
-``--override`` string or an index table has its field's kind and bounds;
-config fields declare those once, with `rule`, and `Checked` applies them to
-every config built and every override string parsed.
+file and `write_csv` every CSV file. `check` alone decides whether a value
+read from a config file, an ``--override`` string or an index table has its
+field's kind and bounds; config fields declare those once, with `rule`, and
+`Checked` applies them to every config built and every override string parsed.
 """
 
+import csv
 import json
 import numbers
 import operator
@@ -56,6 +57,14 @@ def read_json(path):
 def write_json(path, payload):
     """Write `payload` to file `path` as indented JSON with sorted keys."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write `header`, then `rows`, to file `path` as UTF-8 CSV with CRLF line ends, whatever the locale."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "bool", str: "a string",

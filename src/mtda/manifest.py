@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from mtda.errors import ContractError
+from mtda.errors import ContractError, write_csv
 
 HEADER = ["id", "path", "scene", "device", "parallel_group", "split", "feature_path"]
 
@@ -63,7 +63,4 @@ def read_manifest(path) -> list[ManifestRow]:
 
 
 def write_manifest(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        writer.writerows([getattr(r, k) for k in HEADER] for r in rows)
+    write_csv(path, HEADER, ([getattr(r, k) for k in HEADER] for r in rows))

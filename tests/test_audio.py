@@ -247,5 +247,5 @@ class TestIngest:
         interleaved[0::2] = left
         interleaved[1::2] = right
         write_wav(tmp_path / "st.wav", interleaved, 32000, channels=2)
-        clip = load_wav(tmp_path / "st.wav")
+        clip = load_wav(tmp_path / "st.wav", (tmp_path / "st.wav").read_bytes())
         assert np.abs(clip.samples).max() < 1e-3

@@ -15,9 +15,9 @@ import pytest
 
 import mtda
 from mtda.checkpoint import load_tensors, save_features, save_tensors
-from mtda.cli import main
+from mtda.cli import build_parser, main
 from mtda.geometry import DomainEntry, index_table_payload, save_index_table
-from mtda.manifest import HEADER, write_manifest
+from mtda.manifest import HEADER, ManifestRow, write_manifest
 from mtda.synth import SynthConfig
 from mtda.training import TrainConfig, train
 
@@ -146,6 +146,23 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert list((tmp_path / "o").iterdir()) == []  # rejected before make_dataset writes a file
+
+
+class TestFlagDefaults:
+    """A flag left off the command line takes its default from the flag table."""
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            (["index", "--manifest", "m.csv"], {"tsne_iters": 500, "seed": 0}),
+            (["export-embeddings", "--checkpoint", "c.mtda", "--manifest", "m.csv"],
+             {"n_per_device": 50, "tsne_iters": 500, "seed": 0}),
+            (["train", "--config", "t.json", "--manifest", "m.csv", "--index", "i.json"], {"seed": None}),
+        ],
+    )
+    def test_default(self, argv, expect):
+        args = build_parser().parse_args([*argv, "--out", "out"])
+        assert {k: getattr(args, k) for k in expect} == expect
 
 
 class TestSynth:
@@ -694,6 +711,19 @@ def test_csv_outputs_are_utf8_in_an_ascii_locale(train_inputs, tmp_path):
     accuracy = (tmp_path / "ascii" / "accuracy.csv").read_bytes()
     assert accuracy == (tmp_path / "utf8" / "accuracy.csv").read_bytes()
     assert "Zielgeräte,group,".encode() in accuracy
+    assert accuracy.startswith(b"name,kind,accuracy,count\r\n") and accuracy.count(b"\n") == accuracy.count(b"\r\n")
+
+
+def test_manifest_csv_bytes(tmp_path):
+    """write_manifest writes the header and rows as UTF-8 with CRLF line ends, quoting a field that holds a comma."""
+    rows = [ManifestRow("a1", path="wav/a1.wav", scene="Straße, nachts", device="A"),
+            ManifestRow("b2", device="B", split="test")]
+    write_manifest(rows, tmp_path / "manifest.csv")
+    assert (tmp_path / "manifest.csv").read_bytes() == (
+        b"id,path,scene,device,parallel_group,split,feature_path\r\n"
+        b'a1,wav/a1.wav,"Stra\xc3\x9fe, nachts",A,,train,\r\n'
+        b"b2,,,B,,test,\r\n"
+    )
 
 
 class TestRunRecord:
