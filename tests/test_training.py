@@ -1,6 +1,7 @@
 """Tests for the training harness, evaluation, sweeps, and exports."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from mtda import autodiff as ad
 from mtda import checkpoint
 from mtda.errors import ContractError
 from mtda.geometry import DomainEntry
+from mtda.manifest import ManifestRow
 from mtda.models import AdversarialModel, Mode, ModelConfig, domain_loss_for_mode, forward, scene_loss
 from mtda.synth import make_dataset
 from mtda.training import (
@@ -19,6 +21,7 @@ from mtda.training import (
     evaluate,
     export_embeddings,
     load_dataset,
+    predict,
     sweep,
     train,
 )
@@ -245,6 +248,44 @@ class TestTrain:
             train(cfg, rows, INDEX_TABLE)
         results, best = sweep(cfg, rows, INDEX_TABLE)
         assert best is None and [r["error"] for r in results] == [message, message]
+
+
+def _traced_peak(fn):
+    """fn()'s result and the tracemalloc peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBatchGraph:
+    """Memory at the 10 s log-mel height (638 frames): a batch's graph outweighs the features."""
+
+    def test_train_holds_one_step_graph(self, tmp_path):
+        # 10 labeled source rows, 2 held out: 8 train rows make one step per epoch at batch 16
+        rng = np.random.default_rng(0)
+        rows = []
+        for device, n in (("A", 10), ("B", 4), ("C", 4)):
+            for j in range(n):
+                path = tmp_path / f"{device}{j}.mtt"
+                checkpoint.save_features(path, rng.normal(size=(638, 64)))
+                scene = f"scene{j % 2}" if device == "A" else ""
+                rows.append(ManifestRow(id=f"{device}{j}", scene=scene, device=device, feature_path=str(path)))
+        (one, one_peak), (three, three_peak) = (
+            _traced_peak(lambda: train(TrainConfig(epochs=e, batch_size=16, seed=0), rows, INDEX_TABLE)) for e in (1, 3)
+        )
+        assert (len(one.report.loss_curve), len(three.report.loss_curve)) == (1, 3)
+        # a step that builds its graph while the last one's is alive peaks near 1.45x
+        assert three_peak <= 1.05 * one_peak, f"3 steps {three_peak / 1e6:.1f} MB, 1 step {one_peak / 1e6:.1f} MB"
+
+    def test_predict_holds_one_batch_graph(self):
+        model = AdversarialModel.initialize(ModelConfig(n_classes=3, n_domains=3, mode=Mode.MTDA_C2), seed=0)
+        x = np.random.default_rng(1).normal(size=(3 * 64, 160, 64)).astype(np.float32)
+        (one, one_peak), (three, three_peak) = (_traced_peak(lambda: predict(model, x[:n])) for n in (64, 3 * 64))
+        np.testing.assert_array_equal(three[:64], one)
+        # a batch built while the last batch's pass is alive peaks near 1.9x
+        assert three_peak <= 1.05 * one_peak, f"3 batches {three_peak / 1e6:.1f} MB, 1 batch {one_peak / 1e6:.1f} MB"
 
 
 class TestEvaluate:
