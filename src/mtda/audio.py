@@ -150,9 +150,17 @@ def load_wav(path, payload) -> AudioClip:
         rate = wf.getframerate()
         n_channels = wf.getnchannels()
         raw = wf.readframes(wf.getnframes())
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    data /= 32768.0
     if n_channels > 1:
-        data = data.reshape(-1, n_channels).mean(axis=1)
+        # the channels summed in order, then divided by their count: numpy's
+        # mean over each frame bit for bit (it sums fewer than 8 values in
+        # order), without its strided reduction
+        frames = data.reshape(-1, n_channels)
+        data = frames[:, 0].copy()
+        for c in range(1, n_channels):
+            data += frames[:, c]
+        data /= n_channels
     return AudioClip(samples=data, sample_rate=rate)
 
 

@@ -249,3 +249,16 @@ class TestIngest:
         write_wav(tmp_path / "st.wav", interleaved, 32000, channels=2)
         clip = load_wav(tmp_path / "st.wav", (tmp_path / "st.wav").read_bytes())
         assert np.abs(clip.samples).max() < 1e-3
+
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_downmix_is_numpys_channel_mean_bitwise(self, channels):
+        pcm = np.random.default_rng(channels).integers(-32768, 32768, size=(4000, channels), dtype=np.int16)
+        pcm[:3] = [[-32768] * channels, [32767] * channels, [-32768, 32767, 32767][:channels]]
+        payload = io.BytesIO()
+        with wave.open(payload, "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(2)
+            wf.setframerate(32000)
+            wf.writeframes(pcm.astype("<i2").tobytes())
+        clip = load_wav("mix.wav", payload.getvalue())
+        assert clip.samples.tobytes() == (pcm.astype(np.float64) / 32768.0).mean(axis=1).tobytes()
