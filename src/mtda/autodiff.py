@@ -10,16 +10,16 @@ The conv is a shifted-slice GEMM: the 9 shifted slices of the zero-padded
 input form a column matrix that one matmul with the flattened kernel turns
 into the output. Backward rebuilds the columns (they are not kept in the
 graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
-The columns exist one batch chunk at a time, about CHUNK_BYTES each: a
-whole-batch column matrix is 9x the input (47 MB at batch 32 of 638x64 audio
-features, built again in backward and once more as the dx columns), and its
-cost is memory traffic, not arithmetic. Chunking keeps every bit: numpy's
-stacked matmul already runs one GEMM per sample, dK is still the sum of the
-whole per-sample stack, and col2im adds the 9 offsets in the same order.
-Pooling sums four strided slices. `conv_relu_pool` runs a model block (conv,
-relu, pool) as one node with the same bits, chunk by chunk: only the pooled
-value and the bool relu mask are kept for the whole batch, and its backward
-unpools, masks and scatters one chunk at a time.
+Pooling sums four strided slices. `conv2d` is the whole-batch reference: one
+column matrix for the batch, 9x the input (47 MB at batch 32 of 638x64 audio
+features, built again in backward and once more as the dx columns).
+`conv_relu_pool`, the model's block (conv, relu, pool) as one node, is the
+only op that runs in batch chunks, each with a column matrix of about
+CHUNK_BYTES: only the pooled value and the bool relu mask are kept for the
+whole batch, and its backward unpools, masks and scatters one chunk at a
+time. Chunking keeps every bit: numpy's stacked matmul already runs one GEMM
+per sample, dK is still the sum of the whole per-sample stack, and col2im
+adds the 9 offsets in the same order.
 Its relu is two branch-free passes, ``act *= mask`` then ``act += 0.0``: a
 masked write branches on every element and cost more than the conv GEMM, and
 adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
@@ -188,25 +188,26 @@ def _check_conv(x, k, op):
 
 
 def _conv(x, k):
-    """The (m, f, h, w) conv of a batch chunk x with kernel k (arrays): one GEMM per sample."""
+    """The (m, f, h, w) conv of m samples x with kernel k (arrays): one GEMM per sample."""
     (m, c, h, w), f = x.shape, k.shape[0]
     return (k.reshape(f, c * 9) @ _columns(x)).reshape(m, f, h, w)
 
 
-def _conv_backward(x, k, g, adjoint):
-    """Accumulate dK and dx (each only if needed) of the conv of x and k, one
-    batch chunk at a time; ``adjoint(s)`` is the conv output's adjoint on the
-    chunk s, with the dtype of g. Each chunk's columns are rebuilt: kept from
-    forward they would cost 9x the input per conv until the sweep ends. dK is
-    the sum over the whole per-sample stack, as a sum of per-chunk sums would
-    round differently."""
+def _conv_backward(x, k, g, slices, adjoint):
+    """Accumulate dK and dx (each only if needed) of the conv of x and k over
+    the batch `slices` in order: `[slice(None)]` for the whole batch, or
+    `_chunks` of it; ``adjoint(s)`` is the conv output's adjoint on slice s,
+    with the dtype of g. Each slice's columns are rebuilt: kept from forward
+    they would cost 9x the input per conv until the sweep ends. dK is the sum
+    over the whole per-sample stack, as a sum of per-slice sums would round
+    differently."""
     (n, c, h, w), f = x.shape, k.shape[0]
     kt = k.value.reshape(f, c * 9).T
     if k.requires_grad:
         dk = np.empty((n, f, c * 9), dtype=np.result_type(g.dtype, x.value.dtype))
     if x.requires_grad:
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(kt.dtype, g.dtype))
-    for s in _chunks(x.value):
+    for s in slices:
         g2 = adjoint(s).reshape(-1, f, h * w)
         if k.requires_grad:
             dk[s] = g2 @ _columns(x.value[s]).transpose(0, 2, 1)
@@ -223,13 +224,12 @@ def _conv_backward(x, k, g, adjoint):
 
 
 def conv2d(x, k):
-    """3x3 cross-correlation, stride 1, zero padding 1; same spatial dims."""
+    """3x3 cross-correlation, stride 1, zero padding 1; same spatial dims. Whole batch at once."""
     x, k = _as_tensor(x), _as_tensor(k)
-    dtype = _check_conv(x, k, "conv2d")
-    out = np.empty((x.shape[0], k.shape[0]) + x.shape[2:], dtype=dtype)
-    for s in _chunks(x.value):
-        out[s] = _conv(x.value[s], k.value)
-    return _node(out, (x, k), lambda g: _conv_backward(x, k, g, lambda s: g[s]), name="conv2d")
+    _check_conv(x, k, "conv2d")
+    return _node(
+        _conv(x.value, k.value), (x, k), lambda g: _conv_backward(x, k, g, [slice(None)], lambda s: g[s]), name="conv2d"
+    )
 
 
 def relu(x):
@@ -291,7 +291,7 @@ def conv_relu_pool(x, k):
             dact *= mask[s]
             return dact
 
-        _conv_backward(x, k, g, adjoint)
+        _conv_backward(x, k, g, _chunks(x.value), adjoint)
 
     return _node(out, (x, k), backward, name="conv_relu_pool")
 

@@ -17,9 +17,9 @@ plus one step's batch, graph and gradients: they die when `_step` returns,
 before the next step or the per-epoch holdout `predict` builds another. At
 batch 32 of 1x638x64 float32 (10 s log-mel clips) a step peaks about 30 MB
 above the features (tracemalloc), about 0.83 MB per sample plus 3.5 MB.
-`evaluate` and `export_embeddings` hold the features plus one 64-row
-inference pass, about 33 MB at 638x64: `_inference` reads what its caller
-needs from each pass before it builds the next.
+`evaluate` and `export_embeddings` hold the features plus one inference pass
+of INFERENCE_ROWS rows: `_inference` reads what its caller needs from each
+pass before it builds the next.
 
 `train` returns the kept model and its `TrainReport` (loss curve, holdout
 accuracy); `evaluate` returns the `ExperimentReport` of test accuracies.
@@ -231,7 +231,6 @@ def _make_batch(data, config, u_row, src_idx, tgt_pools, rng):
 
 
 def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResult:
-    mode = Mode(config.mode)
     data = load_dataset(rows)
     source_device = _source_device(data.rows)
     missing = set(data.devices) - set(index_table)
@@ -260,7 +259,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
         raise ContractError("no source rows left after holdout split")
 
     # ModelConfig rejects a single class or domain
-    model_config = ModelConfig(len(data.classes), n_domains, mode, config.conv_channels)
+    model_config = ModelConfig(len(data.classes), n_domains, config.mode, config.conv_channels)
     model = AdversarialModel.initialize(model_config, seed=config.seed)
     optimizer = Adam(model.params, config.learning_rate)
 
@@ -269,7 +268,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     best_acc, best_params = -1.0, None
     for _epoch in range(config.epochs):
         for _ in range(steps_per_epoch):
-            losses = _step(model, optimizer, _make_batch(data, config, u_row, src_train, tgt_pools, rng), mode, config)
+            losses = _step(model, optimizer, _make_batch(data, config, u_row, src_train, tgt_pools, rng), config)
             curve.append((len(curve), *losses))
         acc = float((predict(model, data.features[holdout_idx]) == data.labels[holdout_idx]).mean())
         if acc > best_acc:
@@ -278,24 +277,27 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
     return TrainResult(AdversarialModel(model.config, best_params), TrainReport(curve, best_acc))
 
 
-def _step(model, optimizer, batch, mode, config):
+def _step(model, optimizer, batch, config):
     """One Adam step on `batch`; returns its (l_y, l_d, l_total). The batch, its graph and
     their gradients die on return, before the next step or the holdout predict builds one."""
     fwd = forward(model, batch.x, lambda_d=config.lambda_d)
     l_y = scene_loss(fwd.y_logits, batch.y_onehot, batch.source_mask)
-    l_d = domain_loss_for_mode(mode, fwd, batch, t=config.t, normalize_index=config.normalize_index)
+    l_d = domain_loss_for_mode(model.config.mode, fwd, batch, t=config.t, normalize_index=config.normalize_index)
     total = l_y + l_d
     ad.backward(total)
     optimizer.step({k: leaf.grad for k, leaf in fwd.leaves.items()})
     return float(l_y.value), float(l_d.value), float(total.value)
 
 
-def _inference(model, x, read, batch_size=64):
-    """`read(fwd)` of the lambda_d = 0 forward pass of each batch of `x`, concatenated.
-    Each pass is read and dropped before the next batch's is built, so only one
-    batch's graph is alive at a time."""
-    starts = range(0, len(x), batch_size)
-    return np.concatenate([read(forward(model, x[lo : lo + batch_size], lambda_d=0.0)) for lo in starts])
+INFERENCE_ROWS = 64  # rows per inference pass; a pass at 638x64 float32 holds about 33 MB
+
+
+def _inference(model, x, read):
+    """`read(fwd)` of the lambda_d = 0 forward pass of each INFERENCE_ROWS batch of `x`,
+    concatenated. Each pass is read and dropped before the next batch's is built, so only
+    one batch's graph is alive at a time."""
+    starts = range(0, len(x), INFERENCE_ROWS)
+    return np.concatenate([read(forward(model, x[lo : lo + INFERENCE_ROWS], lambda_d=0.0)) for lo in starts])
 
 
 def predict(model, x):

@@ -9,16 +9,16 @@ exaggeration over those same 250 iterations; short runs cap that early
 phase at a quarter of `iters`. Everything is seeded and deterministic.
 
 Every matrix in the gradient is symmetric, so the descent forms each point
-pair i <= j once: the Student-t kernel is held as the upper triangle's row
-blocks, in one buffer of about n^2/2 float64 allocated once per run. The
-traced peak, about 2.3 n^2 float64 at 800 points (4.9 MiB per n x n array,
-24.7 MiB at 1800), is in `affinities`: the distance matrix and the
-conditional probabilities that become P, plus a few row blocks of about
-BLOCK_BYTES in which the rows are calibrated. The descent holds P and the
-kernel's triangle, and the early phase scales P one row block at a time
-instead of keeping an exaggerated copy. Row blocks in `affinities` keep
-every bit, since each row is calibrated on its own; in the descent they
-change the order of the sums, which stay within 1e-13 of the dense formula.
+pair i <= j once, over the upper triangle's row blocks in one buffer of
+about n^2/2 float64 allocated once per run. The traced peak is in
+`affinities`, which calibrates its rows in blocks of about BLOCK_BYTES from
+their own distances: P and numpy's buffer for `cond += cond.T`, about 2.0 n^2
+float64 at 600-960 points, or at a few hundred points P and one block's
+calibration temporaries, about 1.6 MB (3.3 n^2 at 300). The descent holds P
+and the triangle, and the early phase scales P one row block at a time
+instead of keeping an exaggerated copy. Row blocks keep every bit in
+`affinities`; in the descent they change the order of the sums, which stay
+within 1e-13 of the dense formula.
 """
 
 from __future__ import annotations
@@ -116,17 +116,22 @@ def perplexity_calibrate(sq_distances_row, perplexity):
     return float(sigma[0]), p[0]
 
 
-def pairwise_sq_distances(x):
-    """|x_i - x_j|^2 as exact differences, (x_i - x_j)^2 summed over the
-    coordinates in order (`scipy.spatial.distance.cdist`), zero on the diagonal.
-
-    No BLAS product is involved, so the bytes do not depend on the BLAS
-    kernel or its thread count.
-    """
+def _sq_distances(a, b, out=None):
+    """|a_i - b_j|^2 as exact differences, (a_i - b_j)^2 summed over the
+    coordinates in order, each entry on its own: a row block's rows are the
+    whole matrix's bit for bit. With no BLAS product the bytes do not depend on
+    the BLAS kernel or its thread count; on the 2-D embedding the Gram form
+    would also cost 4x as much, and its cancellation reaches 1e-11 of a
+    distance where exact differences round at about 1e-16."""
     from scipy.spatial.distance import cdist  # ~0.4 s to import; only t-SNE needs it
 
+    return cdist(a, b, "sqeuclidean", out=out)
+
+
+def pairwise_sq_distances(x):
+    """The n x n `_sq_distances` of x: the reference for `affinities`' and the descent's row blocks."""
     x = np.asarray(x, dtype=np.float64)
-    return cdist(x, x, "sqeuclidean")
+    return _sq_distances(x, x)
 
 
 def _row_blocks(n):
@@ -139,23 +144,21 @@ def _row_blocks(n):
 def affinities(x, perplexity):
     """Symmetrized joint affinity matrix P (sums to 1, zero diagonal).
 
-    Rows are calibrated one block at a time, each block's conditional
-    probabilities written into `cond` off its diagonal; the distances are then
-    freed and `cond` becomes P in place, as (cond + cond.T) / (2n).
+    Each row block is calibrated from its squared distances to all n points
+    and written into `cond` off its diagonal; `cond` then becomes P in place,
+    as (cond + cond.T) / (2n).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 3:
         raise ContractError("need at least 3 points")
-    d = pairwise_sq_distances(x)
     cond = np.zeros((n, n))
     gaps = []
     for b in _row_blocks(n):
         off = np.arange(b.start, b.stop)[:, None] != np.arange(n)
-        _, probs, gap = _calibrate(d[b][off].reshape(-1, n - 1), perplexity)
+        _, probs, gap = _calibrate(_sq_distances(x[b], x)[off].reshape(-1, n - 1), perplexity)
         cond[b][off] = probs.ravel()
         gaps.append(gap)
-    del d
     _warn_unconverged(np.concatenate(gaps), n)
     cond += cond.T  # numpy buffers the overlapping transpose
     cond /= 2.0 * n
@@ -178,14 +181,7 @@ def _student_t_blocks(y, buf=None):
     on its diagonal, and the rest is the rectangle of b against the later
     rows. num is symmetric, so the normalizer counts each square once and
     each rectangle twice. Returns [(b, block view)] and the normalizer.
-
-    The squared distances are exact differences, (y_i - y_j)^2 summed over
-    the embedding's two coordinates, not the Gram form: with K=2 they cost a
-    quarter as much, and they round at about 1e-16 of a distance where the
-    Gram form's cancellation reaches 1e-11.
     """
-    from scipy.spatial.distance import cdist  # ~0.4 s to import; only t-SNE needs it
-
     n = len(y)
     if buf is None:
         buf = np.empty(_triangle_size(n))
@@ -194,7 +190,7 @@ def _student_t_blocks(y, buf=None):
         m, k = b.stop - b.start, n - b.start
         num = buf[at : at + m * k].reshape(m, k)
         at += m * k
-        cdist(y[b], y[b.start :], "sqeuclidean", out=num)
+        _sq_distances(y[b], y[b.start :], out=num)
         num += 1.0
         np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)

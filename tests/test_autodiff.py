@@ -189,49 +189,16 @@ class TestConvReluPool:
         assert run(ad.conv_relu_pool) == run(lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))
 
 
-def _whole_batch_columns(x):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
-    for p in range(3):
-        for q in range(3):
-            cols[:, :, p, q] = xp[:, :, p : p + h, q : q + w]
-    return cols.reshape(n, c * 9, h * w)
-
-
-def one_shot_conv2d(x, k):
-    """The conv node the chunked ops must match bit for bit: one whole-batch
-    column matrix, one matmul, and one whole-batch col2im."""
-    (n, c, h, w), f = x.shape, k.shape[0]
-
-    def backward(g):
-        g2 = g.reshape(n, f, h * w)
-        if k.requires_grad:
-            ad._accum(k, (g2 @ _whole_batch_columns(x.value).transpose(0, 2, 1)).sum(axis=0).reshape(k.shape))
-        if x.requires_grad:
-            dcols = (k.value.reshape(f, c * 9).T @ g2).reshape(n, c, 3, 3, h, w)
-            dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
-            for p in range(3):
-                for q in range(3):
-                    dxp[:, :, p : p + h, q : q + w] += dcols[:, :, p, q]
-            ad._accum(x, dxp[:, :, 1:-1, 1:-1])
-
-    value = (k.value.reshape(f, c * 9) @ _whole_batch_columns(x.value)).reshape(n, f, h, w)
-    return ad._node(value, (x, k), backward, name="conv2d")
-
-
 class TestBatchChunks:
-    """The conv ops run over batch chunks of about ad.CHUNK_BYTES of columns each."""
+    """Only the fused block runs over batch chunks of about ad.CHUNK_BYTES of
+    columns each; conv2d is its whole-batch reference."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_grad", [False, True], ids=["x-const", "x-grad"])
     @pytest.mark.parametrize(
         "chunked, reference",
-        [
-            (ad.conv2d, one_shot_conv2d),
-            (ad.conv_relu_pool, lambda xt, kt: ad.avg_pool2(ad.relu(one_shot_conv2d(xt, kt)))),
-        ],
-        ids=["conv2d", "conv_relu_pool"],
+        [(ad.conv_relu_pool, lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))],
+        ids=["conv_relu_pool"],
     )
     # chunks of 7 (float32) and 3 (float64) samples leave a ragged last chunk at n=34 and n=10
     @pytest.mark.parametrize(

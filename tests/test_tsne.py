@@ -103,8 +103,8 @@ class TestAffinities:
     def test_matches_row_by_row_calibration_bitwise(self, perp):
         sizes = [b.stop - b.start for b in tsne._row_blocks(300)]
         assert len(sizes) >= 3 and sizes[-1] < sizes[0]  # 300 rows: three row blocks, the last one short
-        for n in (40, 300):
-            x = np.random.default_rng(21).normal(size=(n, 5))
+        for n, dim in ((40, 5), (300, 5), (300, 64)):
+            x = np.random.default_rng(21).normal(size=(n, dim))
             assert affinities(x, perp).tobytes() == _dense_affinities(x, perp).tobytes()
 
     def test_unconverged_rows_in_two_blocks_warn_once(self, monkeypatch):
@@ -313,12 +313,13 @@ print(hashlib.sha256(emb.points.tobytes() + np.float64(emb.kl_final).tobytes()).
 """
         assert _run_with_blas_threads(code, 1) == _run_with_blas_threads(code, 2)
 
-    @pytest.mark.parametrize("n", [600, 800])
-    def test_peak_is_two_n_by_n_arrays_and_row_blocks(self, n):
-        # affinities' distance matrix and P, plus a few row blocks of calibration
-        # temporaries (0.57 n^2 at 600 points, 0.31 at 800); the descent holds P and
-        # the kernel's upper triangle, about 1.5 n^2. scipy is imported first so its
-        # modules are not counted
+    @pytest.mark.parametrize("n, bound", [(300, 3.5), (600, 2.25), (800, 2.25)])
+    def test_peak_is_p_its_transpose_buffer_and_row_blocks(self, n, bound):
+        # affinities' P and numpy's buffer for cond += cond.T, or P and the row blocks
+        # of calibration temporaries, about 1.6 MB, which set the peak at 300 points
+        # (3.28 n^2; 2.03 at 600, 2.07 at 800); the descent holds P and the kernel's
+        # upper triangle, about 1.5 n^2. scipy is imported first so its modules are
+        # not counted
         import scipy.spatial.distance  # noqa: F401
 
         x = np.random.default_rng(n).normal(size=(n, 64))
@@ -328,7 +329,7 @@ print(hashlib.sha256(emb.points.tobytes() + np.float64(emb.kl_final).tobytes()).
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+        assert peak <= bound * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
 
     def test_kl_decreases(self):
         rng = np.random.default_rng(1)
