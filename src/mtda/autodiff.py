@@ -25,10 +25,12 @@ masked write branches on every element and cost more than the conv GEMM, and
 adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
 
 All values are numpy arrays; float64 is used in tests (finite-difference
-tolerances require it), float32 is fine for training. Everything is
-single-threaded and deterministic: identical graph + values give bit-identical
-gradients. No array is written once it is handed on: adjoints sum out of
-place, may be views or read-only broadcasts, and callers only read ``.grad``.
+tolerances require it), float32 is fine for training. The GEMMs run in BLAS,
+which may be threaded, and each BLAS kernel rounds them its own way: identical
+graph + values give bit-identical gradients on one kernel, so training is
+deterministic per (config, seed, data bytes, BLAS kernel). No array is written
+once it is handed on: adjoints sum out of place, may be views or read-only
+broadcasts, and callers only read ``.grad``.
 """
 
 from __future__ import annotations
@@ -113,15 +115,8 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("sub operand shapes differ", a.shape, b.shape)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(a.value - b.value, (a, b), backward, name="sub")
+    """``a + (-1 * b)``: bit for bit ``a - b``, as ``-1.0 * g`` is ``-g``."""
+    return add(a, scale(b, -1.0))
 
 
 def scale(a, c):
@@ -194,31 +189,28 @@ def _conv(x, k):
 
 
 def _conv_backward(x, k, g, slices, adjoint):
-    """Accumulate dK and dx (each only if needed) of the conv of x and k over
-    the batch `slices` in order: `[slice(None)]` for the whole batch, or
-    `_chunks` of it; ``adjoint(s)`` is the conv output's adjoint on slice s,
-    with the dtype of g. Each slice's columns are rebuilt: kept from forward
-    they would cost 9x the input per conv until the sweep ends. dK is the sum
-    over the whole per-sample stack, as a sum of per-slice sums would round
+    """Accumulate dK (every kernel is a parameter) and dx, if x needs it, of the
+    conv of x and k over the batch `slices` in order: `[slice(None)]` for the
+    whole batch, or `_chunks` of it; ``adjoint(s)`` is the conv output's adjoint
+    on slice s, with the dtype of g. Each slice's columns are rebuilt: kept from
+    forward they would cost 9x the input per conv until the sweep ends. dK is the
+    sum over the whole per-sample stack, as a sum of per-slice sums would round
     differently."""
     (n, c, h, w), f = x.shape, k.shape[0]
     kt = k.value.reshape(f, c * 9).T
-    if k.requires_grad:
-        dk = np.empty((n, f, c * 9), dtype=np.result_type(g.dtype, x.value.dtype))
+    dk = np.empty((n, f, c * 9), dtype=np.result_type(g.dtype, x.value.dtype))
     if x.requires_grad:
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(kt.dtype, g.dtype))
     for s in slices:
         g2 = adjoint(s).reshape(-1, f, h * w)
-        if k.requires_grad:
-            dk[s] = g2 @ _columns(x.value[s]).transpose(0, 2, 1)
+        dk[s] = g2 @ _columns(x.value[s]).transpose(0, 2, 1)
         if x.requires_grad:
             # col2im: each column row adds back onto the slice it came from.
             dcols = (kt @ g2).reshape(-1, c, 3, 3, h, w)
             for p in range(3):
                 for q in range(3):
                     dxp[s, :, p : p + h, q : q + w] += dcols[:, :, p, q]
-    if k.requires_grad:
-        _accum(k, dk.sum(axis=0).reshape(k.shape))
+    _accum(k, dk.sum(axis=0).reshape(k.shape))
     if x.requires_grad:
         _accum(x, dxp[:, :, 1:-1, 1:-1])
 
@@ -310,16 +302,12 @@ def global_avg_pool(x):
     return _node(out_val, (x,), backward, name="global_avg_pool")
 
 
-def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax(x):
     x = _as_tensor(x)
     if x.value.ndim != 2:
         raise ShapeError("softmax expects rank-2 input", x.shape)
-    s = _softmax(x.value)
+    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         _accum(x, s * (g - (g * s).sum(axis=1, keepdims=True)))

@@ -28,7 +28,7 @@ MAGIC = b"MTDA"
 FORMAT_VERSION = 1
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
+_CODE_DTYPES = {code: dtype.newbyteorder("<") for dtype, code in _DTYPE_CODES.items()}
 MAX_RANK = 64  # numpy's own limit on array dimensions
 FEATURE_DTYPE = np.dtype(np.float32)
 

@@ -258,10 +258,7 @@ class Batch:
     @property
     def d_binary(self):
         # DANN collapses all targets to one label: source=[0,1], target=[1,0]
-        out = np.zeros((len(self.u), 2))
-        out[self.source_mask, 1] = 1.0
-        out[~self.source_mask, 0] = 1.0
-        return out
+        return np.eye(2)[self.source_mask.astype(int)]
 
 
 def conditional_mean_oracle(samples) -> dict:

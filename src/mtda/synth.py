@@ -163,14 +163,10 @@ def make_dataset(config: SynthConfig, out_dir) -> list[ManifestRow]:
         for class_id in range(config.n_classes):
             for sample_idx in range(n_samples):
                 split = "train" if sample_idx < n_train else "test"
-                is_parallel = split == "train" and sample_idx < n_parallel and device_pos != 0
+                parallel = split == "train" and sample_idx < n_parallel
                 # Parallel rows reuse the source sample's clean tensor: key the
                 # clean stream by the *source* coordinates in that case.
-                clean_rng = np.random.default_rng(
-                    [config.seed, 0, class_id, sample_idx]
-                    if is_parallel or device_pos == 0
-                    else [config.seed, device_pos, class_id, sample_idx]
-                )
+                clean_rng = np.random.default_rng([config.seed, 0 if parallel else device_pos, class_id, sample_idx])
                 device_rng = np.random.default_rng([config.seed, 1000 + device_pos, class_id, sample_idx])
                 clean = make_clean(class_id, config.n_classes, clean_rng)
                 feat = apply_device(clean, profile, device_rng)
@@ -180,16 +176,13 @@ def make_dataset(config: SynthConfig, out_dir) -> list[ManifestRow]:
                 checkpoint.save_features(feature_path, feat)
 
                 labeled = device_pos == 0 or split == "test"
-                group = ""
-                if split == "train" and sample_idx < n_parallel:
-                    group = f"pg_c{class_id}_s{sample_idx}"
                 rows.append(
                     ManifestRow(
                         id=row_id,
                         path="",
                         scene=f"scene{class_id}" if labeled else "",
                         device=profile.device_id,
-                        parallel_group=group,
+                        parallel_group=f"pg_c{class_id}_s{sample_idx}" if parallel else "",
                         split=split,
                         feature_path=str(feature_path),
                     )

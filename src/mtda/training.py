@@ -41,6 +41,7 @@ from mtda.geometry import (
     pairs_from_embedding,
 )
 from mtda.models import (
+    DEFAULT_T,
     AdversarialModel,
     Batch,
     Mode,
@@ -59,7 +60,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 class TrainConfig(Checked):
     mode: str = rule(str, "mtda-c2", among=tuple(m.value for m in Mode))
     lambda_d: float = rule(float, 1.0, ge=0)
-    t: float = rule(float, 10.0, gt=0)
+    t: float = rule(float, DEFAULT_T, gt=0)
     learning_rate: float = rule(float, 0.002, gt=0)
     batch_size: int = rule(int, 32, ge=2)
     epochs: int = rule(int, 200, ge=1)
@@ -312,7 +313,7 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
     data = load_dataset(rows, "test")
     unlabeled = [r.id for r in data.rows if not r.scene]
     if unlabeled:
-        raise ContractError(f"test rows missing evaluation labels: {unlabeled[:3]}...")
+        raise ContractError(f"{len(unlabeled)} test rows missing evaluation labels: {unlabeled[:3]}")
     if len(data.classes) != model.config.n_classes:
         raise ContractError(
             f"manifest has {len(data.classes)} labeled train classes, the model {model.config.n_classes}"

@@ -1,4 +1,6 @@
-"""Central finite-difference gradient checking shared by the test modules."""
+"""Central finite-difference gradient checking and traced memory peaks, shared by the test modules."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -48,3 +50,12 @@ def check_op(build_loss, arrs, step=1e-5, rtol=1e-4):
         num = numerical_grad(loss_at, arrs[idx].copy(), step=step)
         analytic = np.zeros_like(arrs[idx]) if leaf.grad is None else leaf.grad
         assert_grads_close(analytic, num, rtol=rtol)
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,6 @@
 import builtins
 import hashlib
 import io
-import tracemalloc
 import wave
 
 import numpy as np
@@ -33,6 +32,8 @@ from mtda.audio import (
 from mtda.checkpoint import load_tensors
 from mtda.errors import ContractError
 from mtda.manifest import ManifestRow
+
+from gradcheck import traced_peak
 
 
 def write_wav(path, samples, rate, channels=1):
@@ -143,12 +144,7 @@ class TestChunkedLogmel:
         # rfft at once: about 18 MB for 638 frames
         clip = AudioClip(np.random.default_rng(5).uniform(-0.9, 0.9, CLIP_SAMPLES), 32000)
         logmel(clip)  # build the shared filters outside the trace
-        tracemalloc.start()
-        try:
-            logmel(clip)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: logmel(clip))
         assert peak < 6e6, peak
 
 

@@ -1,14 +1,12 @@
 """Unit and gradient tests for the autodiff op set."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from mtda import autodiff as ad
 from mtda.errors import ContractError, NumericError, ShapeError
 
-from gradcheck import check_op, numerical_grad, assert_grads_close
+from gradcheck import check_op, numerical_grad, assert_grads_close, traced_peak
 
 RNG = np.random.default_rng(20240817)
 
@@ -194,7 +192,10 @@ class TestBatchChunks:
     columns each; conv2d is its whole-batch reference."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-const", "x-grad"])
+    # dK is formed whether or not the kernel asked for it; a constant kernel must still get no gradient
+    @pytest.mark.parametrize(
+        "x_grad, k_grad", [(False, True), (True, True), (True, False)], ids=["x-const", "x-grad", "k-const"]
+    )
     @pytest.mark.parametrize(
         "chunked, reference",
         [(ad.conv_relu_pool, lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))],
@@ -204,7 +205,7 @@ class TestBatchChunks:
     @pytest.mark.parametrize(
         "shape, f", [((34, 1, 64, 64), 4), ((10, 4, 32, 32), 8), ((3, 1, 638, 64), 4)], ids=["desk-1", "desk-2", "audio-1"]
     )
-    def test_bits_equal_one_shot_reference(self, shape, f, chunked, reference, x_grad, dtype):
+    def test_bits_equal_one_shot_reference(self, shape, f, chunked, reference, x_grad, k_grad, dtype):
         rng = np.random.default_rng(17)
         x = rng.normal(size=shape).astype(dtype)
         k = rng.normal(size=(f, shape[1], 3, 3)).astype(dtype)
@@ -213,15 +214,16 @@ class TestBatchChunks:
 
         def run(block):
             xt = ad.Tensor(x.copy(), requires_grad=x_grad)
-            kt = ad.Tensor(k.copy(), requires_grad=True)
+            kt = ad.Tensor(k.copy(), requires_grad=k_grad)
             out = block(xt, kt)
             target = np.random.default_rng(18).normal(size=out.shape).astype(dtype)
             ad.backward(ad.mse_loss(out, target))
-            assert out.value.dtype == kt.grad.dtype == dtype
-            return out.value.tobytes(), kt.grad.tobytes(), None if xt.grad is None else xt.grad.tobytes()
+            grads = [kt.grad, xt.grad]
+            assert out.value.dtype == dtype and all(g.dtype == dtype for g in grads if g is not None)
+            return out.value.tobytes(), *(None if g is None else g.tobytes() for g in grads)
 
         got, want = run(chunked), run(reference)
-        assert (got[2] is None) == (not x_grad)
+        assert (got[1] is None, got[2] is None) == (not k_grad, not x_grad)
         assert got == want
 
     def test_audio_block_never_holds_a_whole_batch_column_matrix(self):
@@ -232,12 +234,7 @@ class TestBatchChunks:
         k = ad.Tensor(rng.normal(size=(f, c, 3, 3)).astype(np.float32), requires_grad=True)
         g = rng.normal(size=(n, f, h // 2, w // 2)).astype(np.float32)
         whole_batch_columns = n * c * 9 * h * w * 4  # 47 MB
-        tracemalloc.start()
-        try:
-            ad.conv_relu_pool(x, k)._backward(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: ad.conv_relu_pool(x, k)._backward(g))
         assert k.grad is not None
         assert peak < whole_batch_columns / 2, f"traced peak {peak / 1e6:.1f} MB"
 
@@ -250,12 +247,7 @@ class TestBatchChunks:
         k = ad.Tensor(rng.normal(size=(f, c, 3, 3)).astype(np.float32), requires_grad=True)
         g = rng.normal(size=(n, f, h // 2, w // 2)).astype(np.float32)
         node = ad.conv_relu_pool(x, k)
-        tracemalloc.start()
-        try:
-            node._backward(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: node._backward(g))
         assert x.grad.shape == x.shape and k.grad is not None
         assert peak < 2 * x.value.nbytes, f"traced peak {peak / 1e6:.1f} MB"
 
@@ -366,6 +358,18 @@ class TestBackprop:
         ad.backward(ad.mse_loss(total, np.zeros(2)))  # total = 4a + b = [4.5, 7]; dL/dtotal = [9, 14]
         np.testing.assert_array_equal(a.grad, [36.0, 56.0])
         np.testing.assert_array_equal(b.grad, [9.0, 14.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sub_is_bitwise_a_minus_b(self, dtype):
+        # sub is add of a scaled-by-minus-one operand; a - b is a + (-b) in IEEE arithmetic, and -1.0 * g is -g
+        rng = np.random.default_rng(23)
+        a, b, g = (rng.normal(size=(4, 5)).astype(dtype) for _ in range(3))
+        at, bt = ad.Tensor(a.copy(), requires_grad=True), ad.Tensor(b.copy(), requires_grad=True)
+        out = ad.sub(at, bt)
+        ad.backward(ad._node(np.array(0.0), (out,), lambda _: ad._accum(out, g), name="root"))
+        assert out.value.dtype == at.grad.dtype == bt.grad.dtype == dtype
+        assert out.value.tobytes() == (a - b).tobytes()
+        assert at.grad.tobytes() == g.tobytes() and bt.grad.tobytes() == (-g).tobytes()
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor(np.ones((2, 2)), requires_grad=True)

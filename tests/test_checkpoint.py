@@ -2,7 +2,6 @@
 
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from mtda.checkpoint import FORMAT_VERSION, MAGIC, load_features, load_tensors, save_features, save_tensors
 from mtda.errors import ContractError
+
+from gradcheck import traced_peak
 
 
 def test_round_trip(tmp_path):
@@ -123,12 +124,7 @@ def test_feature_loading_holds_one_copy(tmp_path):
     paths = [tmp_path / f"{k}.mtt" for k in range(200)]
     for k, path in enumerate(paths):
         save_features(path, frames + k)
-    tracemalloc.start()
-    try:
-        loaded = load_features(paths)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: load_features(paths))
     np.testing.assert_array_equal(loaded, np.arange(200, dtype=np.float32)[:, None, None] + frames)
     assert peak <= loaded.nbytes + 4 * frames.nbytes, (peak, loaded.nbytes)
 

@@ -4,9 +4,11 @@ import codecs
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
+import wave
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import mtda
-from mtda.checkpoint import load_tensors, save_features, save_tensors
+from mtda.checkpoint import MAGIC, load_tensors, save_features, save_tensors
 from mtda.cli import build_parser, main
 from mtda.geometry import DomainEntry, index_table_payload, save_index_table
 from mtda.manifest import HEADER, ManifestRow, write_manifest
@@ -514,6 +516,40 @@ def _no_feature_rows(rows, tmp_path):
     return [replace(r, feature_path="") for r in rows]
 
 
+def _one_source_train_row(rows, tmp_path):
+    """Device A keeps one labelled train row, which the source holdout takes."""
+    source_train = [r for r in rows if r.device == "A" and r.split == "train"]
+    return [r for r in rows if r not in source_train[1:]]
+
+
+def _unlabelled_test_row(rows, tmp_path):
+    """The first test row has no scene to evaluate against."""
+    first_test = next(i for i, r in enumerate(rows) if r.split == "test")
+    return [replace(r, scene="") if i == first_test else r for i, r in enumerate(rows)]
+
+
+def _no_train_features(rows, tmp_path):
+    """Only the test rows have had their features extracted."""
+    return [replace(r, feature_path="") if r.split == "train" else r for r in rows]
+
+
+def _index_as_list(rows, tmp_path):
+    """The index table is a JSON list, not an object keyed by device."""
+    (tmp_path / "index.json").write_text("[]")
+    return rows
+
+
+def _eight_bit_wav(rows, tmp_path):
+    """One row, whose WAV holds 8-bit samples."""
+    wav = tmp_path / "u8.wav"
+    with wave.open(str(wav), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(1)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(160))
+    return [replace(rows[0], path=str(wav), feature_path="")]
+
+
 def _tiny_features(rows, tmp_path):
     tiny = tmp_path / "tiny.mtt"
     save_features(tiny, np.zeros((3, 64), dtype=np.float32))
@@ -558,6 +594,12 @@ class TestMalformedManifests:
              "parallel group 'pg_c0_s0' has more than one source row: ['A_c0_s0', 'A_c0_s1']"),
             (_repeated_config_key, "train", 1, "train.json: repeats keys ['epochs']"),
             (_repeated_index_key, "train", 1, "index.json: repeats keys ['index']"),
+            (_index_as_list, "train", 1, "index.json must be a JSON object keyed by device"),
+            (_one_source_train_row, "train", 1, "no source rows left after holdout split"),
+            (_unlabelled_test_row, "eval", 1, "1 test rows missing evaluation labels: ['A_c0_s6']\n"),
+            (_no_train_features, "index", 1, "manifest has no train rows with extracted features"),
+            (_eight_bit_wav, "ingest", 1,
+             "u8.wav: only 16-bit PCM WAV is supported\nerror: 1 rows failed feature extraction"),
         ],
         ids=[
             "test-only-device-train",
@@ -579,6 +621,11 @@ class TestMalformedManifests:
             "shared-source-group-index",
             "repeated-config-key-train",
             "repeated-index-key-train",
+            "index-as-list-train",
+            "one-source-train-row-train",
+            "unlabelled-test-row-eval",
+            "no-train-features-index",
+            "eight-bit-wav-ingest",
         ],
     )
     def test_exit_code_and_message(
@@ -590,6 +637,7 @@ class TestMalformedManifests:
         write_manifest(mutate(rows, tmp_path), manifest)
         out = tmp_path / "out"
         args = {
+            "ingest": [],
             "train": ["--config", str(config), "--index", str(index)],
             "eval": ["--checkpoint", str(checkpoint_path)],
             "index": ["--tsne-iters", "60"],
@@ -894,6 +942,11 @@ def _with_fields(tensors, **fields):
     return _with_record(tensors, json.dumps({**json.loads(tensors["meta/model"].tobytes()), **fields}).encode())
 
 
+def _container_head(version, name: bytes):
+    """A container's first bytes: the magic, `version`, a count of one tensor and its raw `name`."""
+    return MAGIC + struct.pack("<HIH", version, 1, len(name)) + name
+
+
 def _old_layout(tensors):
     """The float64 meta/config vector that checkpoints held before the config record: mode code 2 is mtda-c2."""
     params = {k: v for k, v in tensors.items() if k != "meta/model"}
@@ -918,9 +971,12 @@ class TestMalformedCheckpoints:
             (lambda t: {**t, "f/w": np.zeros_like(t["f/w"], dtype=np.uint8)},
              "parameter f/w must be float32 or float64, got uint8"),
             (lambda t: {k: v for k, v in t.items() if k != "c/w"}, "parameters ['c/w'] are missing"),
+            (lambda t: {**t, "f/w": np.full_like(t["f/w"], np.nan)}, "non-finite parameter f/w"),
+            (lambda t: _container_head(2, b"f/w"), "unsupported container version 2 at byte 4"),
+            (lambda t: _container_head(1, b"f/\xff"), "tensor name is not UTF-8 at byte 12"),
         ],
         ids=["feature-file", "old-float64-layout", "non-utf8-record", "record-5", "unknown-key", "mode-dbnn",
-             "one-class", "uint8-weights", "no-classifier-weights"],
+             "one-class", "uint8-weights", "no-classifier-weights", "nan-weights", "version-2", "non-utf8-name"],
     )
     def test_eval_exits_one(self, mutate, expect, small_dataset, train_inputs, checkpoint_path, tmp_path, capsys):
         _, rows = small_dataset
@@ -928,7 +984,11 @@ class TestMalformedCheckpoints:
         bad = rows[0].feature_path
         if mutate is not None:
             bad = tmp_path / "bad.mtda"
-            save_tensors(bad, mutate(load_tensors(checkpoint_path)))
+            mutated = mutate(load_tensors(checkpoint_path))  # tensors, or the raw bytes of a broken container
+            if isinstance(mutated, bytes):
+                bad.write_bytes(mutated)
+            else:
+                save_tensors(bad, mutated)
         assert main(["eval", "--checkpoint", str(bad), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: {expect}" in err and "Traceback" not in err

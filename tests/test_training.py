@@ -1,7 +1,6 @@
 """Tests for the training harness, evaluation, sweeps, and exports."""
 
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +24,8 @@ from mtda.training import (
     sweep,
     train,
 )
+
+from gradcheck import traced_peak
 
 INDEX_TABLE = {
     "A": DomainEntry(distance=0.0, index=0),
@@ -250,15 +251,6 @@ class TestTrain:
         assert best is None and [r["error"] for r in results] == [message, message]
 
 
-def _traced_peak(fn):
-    """fn()'s result and the tracemalloc peak of the bytes it allocated."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestOneBatchGraph:
     """Memory at the 10 s log-mel height (638 frames): a batch's graph outweighs the features."""
 
@@ -273,7 +265,7 @@ class TestOneBatchGraph:
                 scene = f"scene{j % 2}" if device == "A" else ""
                 rows.append(ManifestRow(id=f"{device}{j}", scene=scene, device=device, feature_path=str(path)))
         (one, one_peak), (three, three_peak) = (
-            _traced_peak(lambda: train(TrainConfig(epochs=e, batch_size=16, seed=0), rows, INDEX_TABLE)) for e in (1, 3)
+            traced_peak(lambda: train(TrainConfig(epochs=e, batch_size=16, seed=0), rows, INDEX_TABLE)) for e in (1, 3)
         )
         assert (len(one.report.loss_curve), len(three.report.loss_curve)) == (1, 3)
         # a step that builds its graph while the last one's is alive peaks near 1.45x
@@ -282,7 +274,7 @@ class TestOneBatchGraph:
     def test_predict_holds_one_batch_graph(self):
         model = AdversarialModel.initialize(ModelConfig(n_classes=3, n_domains=3, mode=Mode.MTDA_C2), seed=0)
         x = np.random.default_rng(1).normal(size=(3 * 64, 160, 64)).astype(np.float32)
-        (one, one_peak), (three, three_peak) = (_traced_peak(lambda: predict(model, x[:n])) for n in (64, 3 * 64))
+        (one, one_peak), (three, three_peak) = (traced_peak(lambda: predict(model, x[:n])) for n in (64, 3 * 64))
         np.testing.assert_array_equal(three[:64], one)
         # a batch built while the last batch's pass is alive peaks near 1.9x
         assert three_peak <= 1.05 * one_peak, f"3 batches {three_peak / 1e6:.1f} MB, 1 batch {one_peak / 1e6:.1f} MB"

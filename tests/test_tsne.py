@@ -4,7 +4,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from mtda.tsne import (
     run_tsne,
 )
 
-from gradcheck import numerical_grad, assert_grads_close
+from gradcheck import numerical_grad, assert_grads_close, traced_peak
 
 
 class TestPerplexityCalibrate:
@@ -323,12 +322,7 @@ print(hashlib.sha256(emb.points.tobytes() + np.float64(emb.kl_final).tobytes()).
         import scipy.spatial.distance  # noqa: F401
 
         x = np.random.default_rng(n).normal(size=(n, 64))
-        tracemalloc.start()
-        try:
-            run_tsne(x, TsneConfig(iters=20, seed=0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: run_tsne(x, TsneConfig(iters=20, seed=0)))
         assert peak <= bound * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
 
     def test_kl_decreases(self):
