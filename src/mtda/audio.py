@@ -192,8 +192,9 @@ def ingest(rows, out_dir) -> IngestResult:
                 raise ContractError("no WAV path")
             payload = Path(row.path).read_bytes()
             frontend = f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}|{checkpoint.FEATURE_DTYPE}"
-            digest = hashlib.sha256(payload + frontend.encode()).hexdigest()[:16]
-            feature_path = out_dir / f"{row.id}_{digest}.mtt"
+            digest = hashlib.sha256(payload)  # updated, not concatenated: no copy of the WAV bytes
+            digest.update(frontend.encode())
+            feature_path = out_dir / f"{row.id}_{digest.hexdigest()[:16]}.mtt"
             if not feature_path.exists():
                 clip = resample(load_wav(row.path, payload))
                 feat = logmel(clip)

@@ -96,8 +96,11 @@ def save_features(path, frames) -> None:
     save_tensors(path, {"features": np.asarray(frames, dtype=FEATURE_DTYPE)})
 
 
-def load_features(paths) -> np.ndarray:
-    """The frames of each feature file in `paths` as FEATURE_DTYPE, one row per file, in one array.
+def load_features(paths, reduce=np.asarray) -> np.ndarray:
+    """The frames of each feature file in `paths` as FEATURE_DTYPE, one row per
+    file, in one array; each row is `reduce` of the file's cast frames, by
+    default the frames themselves (`compute_index_table` takes their float64
+    time average).
 
     The files are read one at a time into an array allocated on the first, so
     the result and one file are all that is held at once. All files must share
@@ -107,21 +110,22 @@ def load_features(paths) -> np.ndarray:
     """
     if not paths:
         raise ContractError("no feature files to load")
-    out = None
-    shapes = set()
-    non_finite = None
+    out, shapes, non_finite = None, set(), None
     for row, path in enumerate(paths):
         frames = load_tensors(path).get("features")
         if frames is None:
             raise ContractError(f"{path}: not a feature file (no 'features' tensor)")
-        if out is None:
-            out = np.empty((len(paths), *frames.shape), FEATURE_DTYPE)
         shapes.add(frames.shape)
-        if len(shapes) == 1:
+        if len(shapes) == 1 and non_finite is None:
             with np.errstate(over="ignore"):  # out of range casts to inf, reported as non-finite
-                out[row] = frames
-            if non_finite is None and not np.isfinite(out[row]).all():
+                frames = frames.astype(FEATURE_DTYPE, copy=False)
+            if not np.isfinite(frames).all():
                 non_finite = path
+                continue
+            frames = reduce(frames)
+            if out is None:
+                out = np.empty((len(paths), *frames.shape), frames.dtype)
+            out[row] = frames
     if len(shapes) != 1:
         raise ContractError(f"inconsistent feature shapes: {sorted(shapes)}")
     if non_finite is not None:

@@ -176,8 +176,8 @@ def compute_index_table(rows, seed=0, tsne_iters=500, max_rows_per_device=200) -
             rest = list(rng.choice(rest, size=budget, replace=False))
         keep.extend(parallel + rest)
     rows_kept = [rows[i] for i in sorted(keep)]
-    # time-average to 64-d, summing the stored frames in float64
-    vectors = load_features([r.feature_path for r in rows_kept]).mean(axis=1, dtype=np.float64)
+    # time-average each file to 64-d as it is read, summing its frames in float64
+    vectors = load_features([r.feature_path for r in rows_kept], lambda f: f.mean(axis=0, dtype=np.float64))
 
     # Large perplexity + mild exaggeration keep inter-cluster distances more
     # faithful, which is what the pair distances measure.

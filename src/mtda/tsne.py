@@ -9,16 +9,14 @@ exaggeration over those same 250 iterations; short runs cap that early
 phase at a quarter of `iters`. Everything is seeded and deterministic.
 
 Every matrix in the gradient is symmetric, so the descent forms each point
-pair i <= j once, over the upper triangle's row blocks in one buffer of
-about n^2/2 float64 allocated once per run. The traced peak is in
-`affinities`, which calibrates its rows in blocks of about BLOCK_BYTES from
-their own distances: P and numpy's buffer for `cond += cond.T`, about 2.0 n^2
-float64 at 600-960 points, or at a few hundred points P and one block's
-calibration temporaries, about 1.6 MB (3.3 n^2 at 300). The descent holds P
-and the triangle, and the early phase scales P one row block at a time
-instead of keeping an exaggerated copy. Row blocks keep every bit in
-`affinities`; in the descent they change the order of the sums, which stay
-within 1e-13 of the dense formula.
+pair i <= j once, over the upper triangle cut into blocks of about
+BLOCK_BYTES, and holds P and one block: a gradient sweeps the blocks once and
+stores no kernel, and e*p is formed a block at a time. `affinities`
+calibrates its rows in blocks of about BLOCK_BYTES and symmetrizes P in place
+over the triangle's blocks. The traced peak is P and one row block's
+calibration temporaries, about 0.9 MB (1.19 n^2 float64 at 800 points, 2.29
+n^2 at 300). Blocks keep every bit in `affinities`; in the descent they change
+the order of the sums, which stay within 1e-13 of the dense formula.
 """
 
 from __future__ import annotations
@@ -59,13 +57,12 @@ class Embedding:
 def _calibrate(sq, perplexity):
     """Bisect the Gaussian precision of every row of `sq` at once.
 
-    `sq` is (m, n-1): each row holds one point's squared distances to the
-    other points. Each row stops once 2^H(p) is within tolerance of
-    `perplexity`; only rows still searching are recomputed. Returns
-    (sigma, probabilities, gaps): rows that never converge keep the last
-    bandwidth tried, and `gaps` holds their |2^H - perplexity|.
+    `sq` is (m, n-1) float64, each row one point's squared distances to the
+    other points until its search ends and its probabilities after. A row stops
+    once 2^H(p) is within tolerance of `perplexity`; only rows still searching
+    are recomputed, in two work arrays. Returns (sigma, sq, gaps): rows that
+    never converge keep the last bandwidth tried, and `gaps` their |2^H - perplexity|.
     """
-    sq = np.asarray(sq, dtype=np.float64)
     if np.any(sq < 0):
         raise ContractError("squared distances must be non-negative")
     m, n_other = sq.shape
@@ -73,25 +70,29 @@ def _calibrate(sq, perplexity):
         raise ContractError(f"perplexity {perplexity} outside [2, {n_other + 1}]")
     target = np.log2(perplexity)
     beta, beta_lo, beta_hi = np.ones(m), np.zeros(m), np.full(m, np.inf)
-    probs, h = np.empty_like(sq), np.empty(m)
+    work, logs, h = np.empty_like(sq), np.zeros_like(sq), np.empty(m)
     rows = np.arange(m)
     for step in range(_CALIBRATE_STEPS + 1):
-        q = sq[rows]
+        q = np.take(sq, rows, axis=0, out=work[: rows.size], mode="clip")  # "clip" writes out unbuffered
         q *= -beta[rows, None]
         q -= q.max(axis=1, keepdims=True)
         np.exp(q, out=q)
         q /= q.sum(axis=1, keepdims=True)
-        plogp = np.log2(q, out=np.zeros_like(q), where=q > 0)
+        plogp = np.log2(q, out=logs[: rows.size], where=q > 0)  # q = 0 keeps a finite old log: times 0, it adds 0
         plogp *= q
-        probs[rows], h[rows] = q, -plogp.sum(axis=1)
-        rows = rows[~(np.abs(2.0 ** h[rows] - perplexity) <= _CALIBRATE_TOL)]  # NaN keeps searching
-        if not rows.size or step == _CALIBRATE_STEPS:
+        h[rows] = -plogp.sum(axis=1)
+        # NaN keeps searching; the last step ends every search
+        searching = ~(np.abs(2.0 ** h[rows] - perplexity) <= _CALIBRATE_TOL) & (step < _CALIBRATE_STEPS)
+        sq[rows[~searching]] = q[~searching]
+        rows = rows[searching]
+        if not rows.size:
             break
         b, flat = beta[rows], h[rows] > target  # too flat: raise precision
         lo = beta_lo[rows] = np.where(flat, b, beta_lo[rows])
         hi = beta_hi[rows] = np.where(flat, beta_hi[rows], b)
         beta[rows] = np.maximum(np.where(np.isinf(hi), b * 2.0, (lo + hi) / 2.0), _BETA_FLOOR)
-    return np.sqrt(1.0 / (2.0 * beta)), probs, np.abs(2.0 ** h[rows] - perplexity)
+    gaps = np.abs(2.0 ** h - perplexity)
+    return np.sqrt(1.0 / (2.0 * beta)), sq, gaps[~(gaps <= _CALIBRATE_TOL)]
 
 
 def _warn_unconverged(gaps, m):
@@ -111,12 +112,12 @@ def perplexity_calibrate(sq_distances_row, perplexity):
     search targets 2^H(p) == perplexity. Returns (sigma, probabilities). On
     non-convergence the best bandwidth found is returned with a warning.
     """
-    sigma, p, gaps = _calibrate(np.asarray(sq_distances_row)[None], perplexity)
+    sigma, p, gaps = _calibrate(np.array(sq_distances_row, dtype=np.float64)[None], perplexity)
     _warn_unconverged(gaps, 1)
     return float(sigma[0]), p[0]
 
 
-def _sq_distances(a, b, out=None):
+def _sq_distances(a, b):
     """|a_i - b_j|^2 as exact differences, (a_i - b_j)^2 summed over the
     coordinates in order, each entry on its own: a row block's rows are the
     whole matrix's bit for bit. With no BLAS product the bytes do not depend on
@@ -125,7 +126,7 @@ def _sq_distances(a, b, out=None):
     distance where exact differences round at about 1e-16."""
     from scipy.spatial.distance import cdist  # ~0.4 s to import; only t-SNE needs it
 
-    return cdist(a, b, "sqeuclidean", out=out)
+    return cdist(a, b, "sqeuclidean")
 
 
 def pairwise_sq_distances(x):
@@ -134,19 +135,31 @@ def pairwise_sq_distances(x):
     return _sq_distances(x, x)
 
 
-def _row_blocks(n):
-    """Slices of n rows, in order, each as many rows of n float64 as fit
-    BLOCK_BYTES (at least one)."""
-    step = max(1, BLOCK_BYTES // (8 * n))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _row_blocks(n, triangle=False):
+    """Slices of n rows, in order, each as many rows as fit BLOCK_BYTES of
+    float64 (at least one): rows of n, or with `triangle` rows from the block's
+    first column on, which cuts the upper triangle into blocks of equal area."""
+    blocks, start = [], 0
+    while start < n:
+        stop = min(n, start + max(1, BLOCK_BYTES // (8 * (n - start if triangle else n))))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
+def _pair_sum(a, b):
+    """The sum over a symmetric matrix of block b's upper-triangle rows `a`
+    (b against columns b.start:): the diagonal square once, the rectangle twice."""
+    m = b.stop - b.start
+    return a[:, :m].sum() + 2.0 * a[:, m:].sum()
 
 
 def affinities(x, perplexity):
     """Symmetrized joint affinity matrix P (sums to 1, zero diagonal).
 
     Each row block is calibrated from its squared distances to all n points
-    and written into `cond` off its diagonal; `cond` then becomes P in place,
-    as (cond + cond.T) / (2n).
+    and written into `cond` off its diagonal; `cond` then becomes P,
+    (cond + cond.T) / (2n), in place one upper-triangle block at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -156,102 +169,83 @@ def affinities(x, perplexity):
     gaps = []
     for b in _row_blocks(n):
         off = np.arange(b.start, b.stop)[:, None] != np.arange(n)
-        _, probs, gap = _calibrate(_sq_distances(x[b], x)[off].reshape(-1, n - 1), perplexity)
+        probs = _sq_distances(x[b], x)[off].reshape(-1, n - 1)
+        gaps.append(_calibrate(probs, perplexity)[2])  # turns the distances into probabilities in place
         cond[b][off] = probs.ravel()
-        gaps.append(gap)
     _warn_unconverged(np.concatenate(gaps), n)
-    cond += cond.T  # numpy buffers the overlapping transpose
-    cond /= 2.0 * n
-    np.fill_diagonal(cond, 0.0)
+    for b in _row_blocks(n, triangle=True):
+        upper = cond[b, b.start :]
+        upper += cond[b.start :, b].T  # numpy buffers the overlapping transpose: one block
+        upper /= 2.0 * n
+        cond[b.start :, b] = upper.T
     return cond
 
 
-def _triangle_size(n):
-    """Floats in the upper-triangle row blocks of n points' kernel."""
-    return sum((b.stop - b.start) * (n - b.start) for b in _row_blocks(n))
-
-
-def _student_t_blocks(y, buf=None):
-    """The Student-t kernel num_ij = 1 / (1 + |y_i - y_j|^2) over the upper
-    triangle, and its normalizer sum_ij num_ij.
-
-    Each row block b is held against columns b.start: only, in consecutive
-    views of `buf` (a flat float64 array of `_triangle_size(n)`, allocated
-    when not given): its first len(b) columns are the diagonal square, zero
-    on its diagonal, and the rest is the rectangle of b against the later
-    rows. num is symmetric, so the normalizer counts each square once and
-    each rectangle twice. Returns [(b, block view)] and the normalizer.
-    """
-    n = len(y)
-    if buf is None:
-        buf = np.empty(_triangle_size(n))
-    blocks, at, total = [], 0, 0.0
-    for b in _row_blocks(n):
-        m, k = b.stop - b.start, n - b.start
-        num = buf[at : at + m * k].reshape(m, k)
-        at += m * k
-        _sq_distances(y[b], y[b.start :], out=num)
+def _student_t_blocks(y):
+    """Yield each upper-triangle block (b, num) of the Student-t kernel num_ij =
+    1 / (1 + |y_i - y_j|^2), rows b against columns b.start: with a zero
+    diagonal, formed when it is reached so that one is alive at a time."""
+    for b in _row_blocks(len(y), triangle=True):
+        num = _sq_distances(y[b], y[b.start :])
         num += 1.0
         np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        total += num[:, :m].sum() + 2.0 * num[:, m:].sum()
-        blocks.append((b, num))
-    return blocks, total
+        yield b, num
 
 
 def kl_divergence(p, y):
     """KL(P || Q), summed over the pairs where p > 0.
 
-    Each upper-triangle block of the kernel becomes q = max(num / S, 1e-12)
-    and then the block's p log(p / q) terms in place; P and Q are symmetric,
-    so a block's diagonal square counts once and its rectangle twice.
+    One sweep over the kernel's blocks sums the normalizer S; a second forms
+    each block's q = max(num / S, 1e-12) and its p log(p / q) terms in place.
     """
-    blocks, total = _student_t_blocks(np.asarray(y, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    total = sum(_pair_sum(num, b) for b, num in _student_t_blocks(y))
     kl = 0.0
-    for b, q in blocks:
-        m, pb = b.stop - b.start, p[b, b.start :]
+    for b, q in _student_t_blocks(y):
+        pb = p[b, b.start :]
         q *= 1.0 / total
         np.maximum(q, 1e-12, out=q)
         nz = pb > 0
         np.divide(pb, q, out=q, where=nz)
         np.log(q, out=q, where=nz)
         q *= pb  # zero where p is
-        kl += q[:, :m].sum() + 2.0 * q[:, m:].sum()
+        kl += _pair_sum(q, b)
     return float(kl)
 
 
-def kl_gradient(p, y, exaggeration=1.0, buf=None):
-    """dKL/dY for fixed P scaled by `exaggeration`; the standard
-    4 * sum_j (e*p_ij - q_ij) num_ij (y_i - y_j) form.
+def _add_forces(acc, w, b, y1):
+    """Add block w's pairs to acc: w @ [y | 1] gives rows b their weighted positions
+    and row sums in one product, and the rectangle's transpose the rows below."""
+    acc[b] += w @ y1[b.start :]
+    acc[b.stop :] += w[:, b.stop - b.start :].T @ y1[b]
 
-    Every matrix in it is symmetric, so each pair i <= j is formed once, in
-    the upper-triangle row blocks of `_student_t_blocks` (`buf`, its one
-    buffer of about n^2/2 floats, may be passed in to be reused). A second
-    sweep turns each block into w = (e*p - q) * num in place, reading only
-    p's matching block, so no scaled copy of P exists. Block b adds its row
-    sums and w_b @ y[b.start:] to rows b; its rectangle's transpose adds the
-    column sums and rect.T @ y[b] to the rows below. The gradient is then
-    4 * (rowsum(w) * y - w @ y).
-    """
+
+def kl_gradient(p, y, exaggeration=1.0):
+    """dKL/dY for fixed P scaled by `exaggeration`: 4 sum_j (e*p_ij - q_ij) num_ij (y_i - y_j),
+    q_ij = max(num_ij / S, 1e-12). With q = num / S it is an attraction with weights
+    a = (e*p) num less a repulsion with weights r = num^2 divided by S once (van der
+    Maaten, JMLR 2014), so one sweep over the kernel's upper-triangle blocks sums S and
+    both forces: 4 [(rowsum(a) y - a @ y) - (rowsum(r) y - r @ y) / S]. The clamp binds
+    nowhere while the bounding box's farthest pair, num >= 1 / (1 + |span|^2), keeps
+    num / S >= 1e-12; otherwise a second sweep adds the clamped pairs'
+    (1e-12 S - num) num to the repulsion weights."""
     y = np.asarray(y, dtype=np.float64)
-    blocks, total = _student_t_blocks(y, buf)
-    rows, wy = np.zeros(len(y)), np.zeros_like(y)
-    for b, w in blocks:
-        m = b.stop - b.start
-        q = np.multiply(w, 1.0 / total)  # a product is about 2.5x quicker than a division
-        np.maximum(q, 1e-12, out=q)
-        weight = p[b, b.start :] * exaggeration
-        weight -= q
-        w *= weight
-        rows[b] += w.sum(axis=1)
-        wy[b] += w @ y[b.start :]
-        rect = w[:, m:]
-        rows[b.stop :] += rect.sum(axis=0)
-        wy[b.stop :] += rect.T @ y[b]
-    grad = rows[:, None] * y
-    grad -= wy
-    grad *= 4.0
-    return grad
+    y1 = np.column_stack([y, np.ones(len(y))])
+    attract, repel = np.zeros_like(y1), np.zeros_like(y1)
+    total = 0.0
+    for b, num in _student_t_blocks(y):
+        total += _pair_sum(num, b)
+        a = p[b, b.start :] * exaggeration
+        a *= num
+        _add_forces(attract, a, b, y1)
+        num *= num
+        _add_forces(repel, num, b, y1)
+    span = y.max(axis=0) - y.min(axis=0)
+    if 1.0 / (1.0 + (span**2).sum()) * (1.0 / total) < 1e-12:
+        for b, num in _student_t_blocks(y):
+            _add_forces(repel, np.maximum(1e-12 * total - num, 0.0) * num, b, y1)
+    return 4.0 * ((attract[:, 2:] * y - attract[:, :2]) - (repel[:, 2:] * y - repel[:, :2]) / total)
 
 
 def run_tsne(x, cfg: TsneConfig | None = None, init=None):
@@ -272,6 +266,9 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     perplexity = max(2.0, min(perplexity, n - 1))
 
     p = affinities(x, perplexity)
+    for b in _row_blocks(n):  # far pairs' subnormal entries slow every product and add nothing
+        block = p[b]
+        block[block < np.finfo(np.float64).tiny] = 0.0
     if init is not None:
         y = np.array(init, dtype=np.float64)
     else:
@@ -284,9 +281,8 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
     # Short runs shrink the early phase proportionally; exaggeration must
     # end well before the run does or the final KL reflects the wrong target.
     early = min(_EARLY_ITERS, cfg.iters // 4)
-    buf = np.empty(_triangle_size(n))
     for it in range(cfg.iters):
-        grad = kl_gradient(p, y, cfg.exaggeration if it < early else 1.0, buf)
+        grad = kl_gradient(p, y, cfg.exaggeration if it < early else 1.0)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
         momentum = _MOMENTUM_EARLY if it < early else _MOMENTUM_LATE
@@ -296,6 +292,5 @@ def run_tsne(x, cfg: TsneConfig | None = None, init=None):
         y = y + velocity
         y = y - y.mean(axis=0)
 
-    del buf
     kl_final = kl_divergence(p, y)
     return Embedding(points=y, kl_initial=kl_initial, kl_final=kl_final)

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import io
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,14 @@ class TestIngest:
         ).hexdigest()[:16]
         assert result.ok and not feature_path.endswith(f"a_{old_digest}.mtt")
         assert load_tensors(feature_path)["features"].dtype == np.float32
+
+    def test_feature_file_name_is_pinned(self, tmp_path):
+        # the name hashes the WAV bytes, then the frontend parameters and the stored dtype;
+        # a new name would send every existing ingest directory through extraction again
+        path = tmp_path / "a.wav"
+        write_wav(path, 0.2 * np.sin(np.linspace(0, 100, 32000)), 32000)
+        result = ingest([ManifestRow(id="a", path=str(path), device="A", scene="metro")], tmp_path / "feat")
+        assert Path(result.rows[0].feature_path).name == "a_77ed18661f02b510.mtt"
 
     def test_each_file_is_read_once(self, tmp_path, monkeypatch):
         paths = [tmp_path / f"{i}.wav" for i in range(2)]

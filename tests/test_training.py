@@ -417,6 +417,25 @@ class TestIndexPipeline:
         assert table["C"].index == 2  # magnitude 1.0
         assert table["B"].distance < table["C"].distance
 
+    def test_holds_one_file_not_the_stacked_frames(self, tmp_path):
+        # 60 clips of 10 s log-mel frames (638x64 float32) take 9.8 MB stacked; the index
+        # needs their 64-d time averages, taken as each file is read, then P and one block
+        import scipy.spatial.distance  # noqa: F401  imported before tracing starts
+
+        rng = np.random.default_rng(4)
+        rows, paths = [], []  # the paths stay alive so that reading them interns no new name
+        for d, device in enumerate("ABC"):
+            for k in range(20):
+                paths.append(tmp_path / f"{device}{k}.mtt")
+                checkpoint.save_features(paths[-1], rng.normal(loc=d, size=(638, 64)))
+                scene = "s0" if device == "A" else ""
+                rows.append(ManifestRow(id=paths[-1].stem, scene=scene, device=device, parallel_group=f"g{k}",
+                                        feature_path=str(paths[-1])))
+        table, peak = traced_peak(lambda: compute_index_table(rows, seed=0, tsne_iters=20))
+        stacked, p_bytes = len(rows) * 638 * 64 * 4, len(rows) ** 2 * 8
+        assert sorted(table) == ["A", "B", "C"]
+        assert peak <= stacked / 10 + p_bytes, f"peak {peak} B, stacked frames {stacked} B"
+
     def test_reads_only_the_kept_rows(self, small_dataset, monkeypatch):
         # each device has 9 parallel and 9 other train rows: a budget of 12 keeps
         # all 9 parallel rows and 3 others, so 36 of the 54 train files are read
