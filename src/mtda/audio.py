@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import firwin, get_window, resample_poly
 
 from mtda import checkpoint
-from mtda.errors import ContractError
+from mtda.errors import ContractError, check_file_name
 
 TARGET_RATE = 32000
 CLIP_SAMPLES = 10 * TARGET_RATE
@@ -177,17 +177,19 @@ class IngestResult:
 def ingest(rows, out_dir) -> IngestResult:
     """Extract features for every manifest row; content-addressed, so reruns skip.
 
-    Output names embed a hash of the source bytes, the frontend parameters and
-    the stored dtype; an up-to-date output file is never rewritten. Each file
-    is read once and the bytes hashed are the bytes decoded, so a name always
-    matches its features' source. Per-row failures are recorded and do not
-    abort the batch.
+    Output names are the row id (a plain file name, or the row fails) and a
+    hash of the source bytes, the frontend parameters and the stored dtype; an
+    up-to-date output file is never rewritten, and none is left half-written.
+    Each file is read once and the bytes hashed are the bytes decoded, so a
+    name always matches its features' source. Per-row failures are recorded
+    and do not abort the batch.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     updated, errors = [], []
     for row in rows:
         try:
+            check_file_name("row id", row.id)  # it names the row's feature file
             if not row.path:
                 raise ContractError("no WAV path")
             payload = Path(row.path).read_bytes()

@@ -10,16 +10,21 @@ The conv is a shifted-slice GEMM: the 9 shifted slices of the zero-padded
 input form a column matrix that one matmul with the flattened kernel turns
 into the output. Backward rebuilds the columns (they are not kept in the
 graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
-Pooling sums four strided slices. `conv2d` is the whole-batch reference: one
-column matrix for the batch, 9x the input (47 MB at batch 32 of 638x64 audio
-features, built again in backward and once more as the dx columns).
-`conv_relu_pool`, the model's block (conv, relu, pool) as one node, is the
-only op that runs in batch chunks, each with a column matrix of about
-CHUNK_BYTES: only the pooled value and the bool relu mask are kept for the
-whole batch, and its backward unpools, masks and scatters one chunk at a
-time. Chunking keeps every bit: numpy's stacked matmul already runs one GEMM
-per sample, dK is still the sum of the whole per-sample stack, and col2im
-adds the 9 offsets in the same order.
+Pooling sums four strided slices in place. `conv2d` is the whole-batch
+reference: one column matrix for the batch, 9x the input (47 MB at batch 32
+of 638x64 audio features, built again in backward and once more as the dx
+columns). `conv_relu_pool`, the model's block (conv, relu, pool) as one node,
+is the only op that runs in batch chunks, each with a column matrix of about
+CHUNK_BYTES: only the pooled value and the relu mask, one bit per conv output
+(`np.packbits`, 8 columns to a byte), are kept for the whole batch, and its
+backward unpacks, unpools, masks and scatters one chunk at a time. A relu
+followed by a pool needs only the sign of each input in backward (the
+"Binarize" encoding of Jain et al., Gist, ISCA 2018): the bool mask took a
+byte per element, 245 KB of the 0.667 MB a 1x638x64 sample held through a
+train step, and the packed one takes 31 KB. Chunking and packing keep every
+bit: numpy's stacked matmul already runs one GEMM per sample, dK is still the
+sum of the whole per-sample stack, col2im adds the 9 offsets in the same
+order, and an unpacked 0/1 byte viewed as bool multiplies as the bool did.
 Its relu is two branch-free passes, ``act *= mask`` then ``act += 0.0``: a
 masked write branches on every element and cost more than the conv GEMM, and
 adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
@@ -234,21 +239,30 @@ def relu(x):
     return _node(np.where(mask, x.value, 0.0), (x,), backward, name="relu")
 
 
-def _quadrants(v):
-    """The four strided (rows, cols) slices of 2x2 pooling; odd trailing rows/cols are dropped."""
-    h, w = v.shape[2:]
+def _quadrants(shape):
+    """The four strided (rows, cols) slices of 2x2 pooling of an input of `shape`;
+    odd trailing rows/cols are dropped."""
+    h, w = shape[2:]
     return [(slice(i, 2 * (h // 2), 2), slice(j, 2 * (w // 2), 2)) for i in (0, 1) for j in (0, 1)]
 
 
 def _pool(v):
-    q00, q01, q10, q11 = (v[:, :, r, q] for r, q in _quadrants(v))
-    return 0.25 * (q00 + q01 + q10 + q11)
+    """``0.25 * (q00 + q01 + q10 + q11)``, summed in place in that order: the same bits, one temporary."""
+    q00, q01, q10, q11 = (v[:, :, r, q] for r, q in _quadrants(v.shape))
+    out = q00 + q01
+    out += q10
+    out += q11
+    out *= 0.25
+    return out
 
 
-def _unpool(g, like):
-    dx = np.zeros_like(like, dtype=g.dtype)
+def _unpool(g, shape):
+    """The adjoint of `_pool` on an input of `shape`: a quarter of g in each quadrant. The
+    quadrants cover every element unless h or w is odd, and only then is the rest zeroed."""
+    h, w = shape[2:]
+    dx = (np.zeros if h % 2 or w % 2 else np.empty)(shape, dtype=g.dtype)
     quarter = 0.25 * g
-    for r, q in _quadrants(like):
+    for r, q in _quadrants(shape):
         dx[:, :, r, q] = quarter
     return dx
 
@@ -258,29 +272,33 @@ def avg_pool2(x):
     x = _as_tensor(x)
     if x.value.ndim != 4:
         raise ShapeError("avg_pool2 expects rank-4 input", x.shape)
-    return _node(_pool(x.value), (x,), lambda g: _accum(x, _unpool(g, x.value)), name="avg_pool2")
+    return _node(_pool(x.value), (x,), lambda g: _accum(x, _unpool(g, x.value.shape)), name="avg_pool2")
 
 
 def conv_relu_pool(x, k):
-    """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit; backward keeps only the relu mask."""
+    """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit. Backward keeps only the relu
+    mask, packed 8 columns to a byte: a 1x638x64 float32 sample holds 0.45 MB through a train
+    step (tracemalloc), where a bool mask made it 0.67 MB."""
     x, k = _as_tensor(x), _as_tensor(k)
     dtype = _check_conv(x, k, "conv_relu_pool")
     (n, _, h, w), f = x.shape, k.shape[0]
     out = np.empty((n, f, h // 2, w // 2), dtype=dtype)
-    mask = np.empty((n, f, h, w), dtype=bool)
+    packed = np.empty((n, f, h, -(-w // 8)), dtype=np.uint8)
     for s in _chunks(x.value):
         act = _conv(x.value[s], k.value)
         if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
             raise NumericError("non-finite values in tensor conv_relu_pool")
-        mask[s] = act > 0
-        act *= mask[s]  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
+        mask = act > 0
+        packed[s] = np.packbits(mask, axis=-1)
+        act *= mask  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
         act += 0.0  # ... and -0.0 + 0.0 is +0.0, exactly what relu's np.where writes
         out[s] = _pool(act)
 
     def backward(g):
         def adjoint(s):
-            dact = _unpool(g[s], mask[s])
-            dact *= mask[s]
+            gs = g[s]
+            dact = _unpool(gs, (*gs.shape[:2], h, w))
+            dact *= np.unpackbits(packed[s], axis=-1, count=w).view(bool)  # 0/1 bytes multiply as the bools did
             return dact
 
         _conv_backward(x, k, g, _chunks(x.value), adjoint)

@@ -17,6 +17,7 @@ of the UTF-8 JSON record of `ModelConfig`.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -34,6 +35,9 @@ FEATURE_DTYPE = np.dtype(np.float32)
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write `tensors` to `path`. The bytes go to a sibling temporary file that then replaces
+    `path`, so a write cut short (an error, a full disk, a kill) never leaves a truncated file
+    under the final name, which `ingest` would keep as up to date."""
     chunks = [MAGIC, struct.pack("<HI", FORMAT_VERSION, len(tensors))]
     for name, arr in tensors.items():
         # ascontiguousarray promotes 0-d to 1-d; restore the original shape
@@ -46,7 +50,14 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_bytes(b"".join(chunks))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

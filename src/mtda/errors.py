@@ -7,6 +7,8 @@ file and `write_csv` every CSV file. `check` alone decides whether a value
 read from a config file, an ``--override`` string or an index table has its
 field's kind and bounds; config fields declare those once, with `rule`, and
 `Checked` applies them to every config built and every override string parsed.
+`check_file_name` alone decides whether an id may name a file (`ingest`'s row
+ids, synth's device ids).
 """
 
 import csv
@@ -112,6 +114,16 @@ def check(name, value, kind, item=None, size=None, **bounds):
         sign, holds = _BOUNDS[key]
         if not holds(value, limit):
             raise ContractError(f"{name} must be {sign} {limit}, got {value!r}")
+    return value
+
+
+def check_file_name(name, value):
+    """`value` if it can stand in a file name in the directory it is written to: not empty, not
+    ``.`` or ``..``, with no ``/``, ``\\`` or NUL; else a ContractError naming `name`."""
+    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ContractError(
+            f"{name} must be a plain file name (not empty, '.' or '..'; no '/', '\\' or NUL), got {value!r}"
+        )
     return value
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from mtda import checkpoint
-from mtda.errors import Checked, ContractError, check, fits, rule
+from mtda.errors import Checked, ContractError, check, check_file_name, fits, rule
 from mtda.manifest import ManifestRow, write_manifest
 
 FRAMES = 64
@@ -84,6 +84,7 @@ class SynthConfig(Checked):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
                     and fits(pair[1], float)):
                 raise ContractError(f"each synth device must be an [id, magnitude] pair, got {pair!r}")
+            check_file_name("synth device id", pair[0])  # it starts each row id, which names a feature file
             check(f"device {pair[0]} magnitude", pair[1], float, ge=0)
         ids = [device_id for device_id, _ in self.devices]
         if len(set(ids)) != len(ids):

@@ -15,8 +15,9 @@ accumulator of `compute_index_table`'s time average.
 At most one batch graph is alive at once. `train` holds the loaded features
 plus one step's batch, graph and gradients: they die when `_step` returns,
 before the next step or the per-epoch holdout `predict` builds another. At
-batch 32 of 1x638x64 float32 (10 s log-mel clips) a step peaks about 30 MB
-above the features (tracemalloc), about 0.83 MB per sample plus 3.5 MB.
+batch 32 of 1x638x64 float32 (10 s log-mel clips) a step peaks about 23 MB
+above the features (tracemalloc), about 0.62 MB per sample (its batch copy
+among them) plus 3.5 MB.
 `evaluate` and `export_embeddings` hold the features plus one inference pass
 of INFERENCE_ROWS rows: `_inference` reads what its caller needs from each
 pass before it builds the next.
@@ -290,7 +291,7 @@ def _step(model, optimizer, batch, config):
     return float(l_y.value), float(l_d.value), float(total.value)
 
 
-INFERENCE_ROWS = 64  # rows per inference pass; a pass at 638x64 float32 holds about 33 MB
+INFERENCE_ROWS = 64  # rows per inference pass; a pass at 638x64 float32 holds about 20 MB
 
 
 def _inference(model, x, read):

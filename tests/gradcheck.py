@@ -1,6 +1,9 @@
-"""Central finite-difference gradient checking and traced memory peaks, shared by the test modules."""
+"""Central finite-difference gradient checking, traced memory peaks and a disk that fills
+mid-write, shared by the test modules."""
 
+import errno
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +62,14 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def full_disk_after_half(monkeypatch):
+    """Make every `Path.write_bytes` write half its bytes, then fail as a full disk does."""
+    write = Path.write_bytes
+
+    def half_then_full(path, data):
+        write(path, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_full)

@@ -34,7 +34,7 @@ from mtda.checkpoint import load_tensors
 from mtda.errors import ContractError
 from mtda.manifest import ManifestRow
 
-from gradcheck import traced_peak
+from gradcheck import full_disk_after_half, traced_peak
 
 
 def write_wav(path, samples, rate, channels=1):
@@ -208,6 +208,18 @@ class TestIngest:
         second = ingest(rows, out)
         assert second.rows[0].feature_path == feature_file
         assert os.stat(feature_file).st_mtime_ns == stamp
+
+    def test_write_cut_short_is_extracted_by_the_next_ingest(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.wav"
+        write_wav(path, 0.2 * np.sin(np.linspace(0, 100, 32000)), 32000)
+        rows = [ManifestRow(id="a", path=str(path), device="A", scene="metro")]
+        out = tmp_path / "feat"
+        with monkeypatch.context() as patch:
+            full_disk_after_half(patch)
+            first = ingest(rows, out)
+        assert first.errors == [("a", "[Errno 28] No space left on device")] and list(out.iterdir()) == []
+        second = ingest(rows, out)
+        assert second.ok and load_tensors(second.rows[0].feature_path)["features"].shape == (638, 64)
 
     def test_stores_float32_under_a_name_that_hashes_the_dtype(self, tmp_path):
         path = tmp_path / "a.wav"

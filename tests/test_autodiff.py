@@ -201,9 +201,13 @@ class TestBatchChunks:
         [(ad.conv_relu_pool, lambda xt, kt: ad.avg_pool2(ad.relu(ad.conv2d(xt, kt))))],
         ids=["conv_relu_pool"],
     )
-    # chunks of 7 (float32) and 3 (float64) samples leave a ragged last chunk at n=34 and n=10
+    # chunks of 7 (float32) and 3 (float64) samples leave a ragged last chunk at n=34 and n=10; at
+    # 37x67 chunks of 5 and 2 samples leave one at n=11, the odd height and width leave pooling a
+    # trailing row and column, and 67 columns pack into 9 bytes, the last one holding 3
     @pytest.mark.parametrize(
-        "shape, f", [((34, 1, 64, 64), 4), ((10, 4, 32, 32), 8), ((3, 1, 638, 64), 4)], ids=["desk-1", "desk-2", "audio-1"]
+        "shape, f",
+        [((34, 1, 64, 64), 4), ((10, 4, 32, 32), 8), ((3, 1, 638, 64), 4), ((11, 2, 37, 67), 3)],
+        ids=["desk-1", "desk-2", "audio-1", "odd-ragged"],
     )
     def test_bits_equal_one_shot_reference(self, shape, f, chunked, reference, x_grad, k_grad, dtype):
         rng = np.random.default_rng(17)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mtda.checkpoint import FORMAT_VERSION, MAGIC, load_features, load_tensors, save_features, save_tensors
 from mtda.errors import ContractError
 
-from gradcheck import traced_peak
+from gradcheck import full_disk_after_half, traced_peak
 
 
 def test_round_trip(tmp_path):
@@ -27,6 +27,18 @@ def test_round_trip(tmp_path):
     for name, arr in tensors.items():
         assert loaded[name].dtype == arr.dtype
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_write_cut_short_leaves_no_file_under_the_final_name(tmp_path, monkeypatch):
+    old, new = tmp_path / "old.mtt", tmp_path / "new.mtt"
+    save_features(old, np.ones((5, 64)))
+    before = old.read_bytes()
+    full_disk_after_half(monkeypatch)
+    for path in (old, new):
+        with pytest.raises(OSError, match="No space left"):
+            save_features(path, np.zeros((5, 64)))
+    # the file that was there keeps its bytes, the new one never appears, and no partial file is left
+    assert sorted(tmp_path.iterdir()) == [old] and old.read_bytes() == before
 
 
 def test_feature_files_round_trip(tmp_path):

@@ -135,10 +135,22 @@ class TestDispatch:
                 {"n_classes": 2, "devices": [["A", 0.0], ["B", -1.0]], "samples_per_device_per_class": 2},
                 "device B magnitude must be >= 0, got -1.0",
             ),
+            # a device id starts each row id, which names a feature file
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["../escaped", 1.0]], "samples_per_device_per_class": 2},
+                "synth device id must be a plain file name (not empty, '.' or '..'; no '/', '\\' or NUL),"
+                " got '../escaped'",
+            ),
+            (
+                {"n_classes": 2, "devices": [["A", 0.0], ["sub/x", 1.0]], "samples_per_device_per_class": 2},
+                "synth device id must be a plain file name (not empty, '.' or '..'; no '/', '\\' or NUL),"
+                " got 'sub/x'",
+            ),
         ],
         ids=[
             "unknown-key", "missing-devices", "not-an-object", "device-not-pair", "magnitude-str", "classes-str",
             "test-fraction", "duplicate-device", "no-samples", "no-train-sample", "negative-magnitude",
+            "device-id-escapes", "device-id-has-slash",
         ],
     )
     def test_malformed_synth_config_exits_one(self, payload, expect, tmp_path, capsys):
@@ -652,6 +664,25 @@ class TestMalformedManifests:
         else:
             assert expect in err
             assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("row_id", ["../escaped", "sub/x"], ids=["escapes", "has-slash"])
+    def test_row_id_that_is_no_plain_name_writes_no_feature_file(self, row_id, tmp_path, capsys):
+        # the id names the row's feature file, so '../escaped' would write into the parent of features/
+        wav = tmp_path / "a.wav"
+        with wave.open(str(wav), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(32000)
+            wf.writeframes(bytes(2 * 32000))
+        manifest = tmp_path / "wav.csv"
+        write_manifest([ManifestRow(id=row_id, path=str(wav), scene="park", device="A")], manifest)
+        out = tmp_path / "out"
+        assert main(["ingest", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"row {row_id}: row id must be a plain file name" in err
+        assert list(tmp_path.rglob("*.mtt")) == [] and list((out / "features").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "out", "wav.csv"]
 
     @pytest.mark.parametrize("command", ["ingest", "index", "train", "eval"])
     @pytest.mark.parametrize(

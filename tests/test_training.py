@@ -11,11 +11,12 @@ from mtda import checkpoint
 from mtda.errors import ContractError
 from mtda.geometry import DomainEntry
 from mtda.manifest import ManifestRow
-from mtda.models import AdversarialModel, Mode, ModelConfig, domain_loss_for_mode, forward, scene_loss
+from mtda.models import AdversarialModel, Batch, Mode, ModelConfig, domain_loss_for_mode, forward, scene_loss
 from mtda.synth import make_dataset
 from mtda.training import (
     Adam,
     TrainConfig,
+    _step,
     compute_index_table,
     evaluate,
     export_embeddings,
@@ -278,6 +279,31 @@ class TestOneBatchGraph:
         np.testing.assert_array_equal(three[:64], one)
         # a batch built while the last batch's pass is alive peaks near 1.9x
         assert three_peak <= 1.05 * one_peak, f"3 batches {three_peak / 1e6:.1f} MB, 1 batch {one_peak / 1e6:.1f} MB"
+
+    def test_step_holds_under_055_mb_per_sample(self):
+        # one bool per relu decision held 0.245 of the 0.667 MB a sample took; one bit holds 0.031
+        model = AdversarialModel.initialize(ModelConfig(n_classes=10, n_domains=3, mode=Mode.MTDA_C2), seed=0)
+        x = np.random.default_rng(1).normal(size=(64, 638, 64)).astype(np.float32)
+        config = TrainConfig(seed=0)
+
+        def step_peak(n):
+            u = np.arange(n) % 3
+            batch = Batch(x[:n], np.eye(10)[np.arange(n) % 10], np.eye(3)[u], u, source_mask=u == 0)
+            optimizer = Adam(dict(model.params), config.learning_rate)
+            fresh = AdversarialModel(model.config, optimizer.params)
+            return traced_peak(lambda: _step(fresh, optimizer, batch, config))[1]
+
+        step_peak(2)  # numpy's and the allocator's first-use costs fall outside the traced steps
+        small, large = step_peak(8), step_peak(64)
+        per_sample = (large - small) / (64 - 8)
+        assert per_sample < 0.55e6, f"{per_sample / 1e6:.3f} MB a sample, {small / 1e6:.1f} at 8, {large / 1e6:.1f} at 64"
+
+    def test_predict_of_192_rows_peaks_below_25_mb(self):
+        # three 64-row passes, one alive at a time; with a bool relu mask a pass peaked at 33.5 MB
+        model = AdversarialModel.initialize(ModelConfig(n_classes=10, n_domains=3, mode=Mode.MTDA_C2), seed=0)
+        x = np.random.default_rng(1).normal(size=(3 * 64, 638, 64)).astype(np.float32)
+        _, peak = traced_peak(lambda: predict(model, x))
+        assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestEvaluate:
