@@ -16,8 +16,9 @@ of 638x64 audio features, built again in backward and once more as the dx
 columns). `conv_relu_pool`, the model's block (conv, relu, pool) as one node,
 is the only op that runs in batch chunks, each with a column matrix of about
 CHUNK_BYTES: only the pooled value and the relu mask, one bit per conv output
-(`np.packbits`, 8 columns to a byte), are kept for the whole batch, and its
-backward unpacks, unpools, masks and scatters one chunk at a time. A relu
+(`np.packbits`, 8 columns to a byte), are kept for the whole batch, the mask
+only by a node that keeps a backward, and that backward unpacks, unpools,
+masks and scatters one chunk at a time. A relu
 followed by a pool needs only the sign of each input in backward (the
 "Binarize" encoding of Jain et al., Gist, ISCA 2018): the bool mask took a
 byte per element, 245 KB of the 0.667 MB a 1x638x64 sample held through a
@@ -49,8 +50,9 @@ class Tensor:
     """One node of the computation graph.
 
     `value` is a numpy array (scalars are 0-d arrays). Leaf tensors carry
-    parameters or inputs; interior nodes remember their parents and a closure
-    that scatters the node's adjoint back to them.
+    parameters or inputs; an interior node that needs a gradient (one of its
+    parents does) remembers its parents and a closure that scatters the node's
+    adjoint back to them, and any other keeps neither.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -278,18 +280,20 @@ def avg_pool2(x):
 def conv_relu_pool(x, k):
     """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit. Backward keeps only the relu
     mask, packed 8 columns to a byte: a 1x638x64 float32 sample holds 0.45 MB through a train
-    step (tracemalloc), where a bool mask made it 0.67 MB."""
+    step (tracemalloc), where a bool mask made it 0.67 MB. A node that needs no gradient keeps
+    no backward (`_node`), so it packs no mask either."""
     x, k = _as_tensor(x), _as_tensor(k)
     dtype = _check_conv(x, k, "conv_relu_pool")
     (n, _, h, w), f = x.shape, k.shape[0]
     out = np.empty((n, f, h // 2, w // 2), dtype=dtype)
-    packed = np.empty((n, f, h, -(-w // 8)), dtype=np.uint8)
+    packed = np.empty((n, f, h, -(-w // 8)), dtype=np.uint8) if x.requires_grad or k.requires_grad else None
     for s in _chunks(x.value):
         act = _conv(x.value[s], k.value)
         if not np.isfinite(act.min(initial=0.0)):  # NaN or -inf, which relu would hide
             raise NumericError("non-finite values in tensor conv_relu_pool")
         mask = act > 0
-        packed[s] = np.packbits(mask, axis=-1)
+        if packed is not None:
+            packed[s] = np.packbits(mask, axis=-1)
         act *= mask  # branch-free, unlike a masked write; a cut negative becomes -0.0 ...
         act += 0.0  # ... and -0.0 + 0.0 is +0.0, exactly what relu's np.where writes
         out[s] = _pool(act)

@@ -4,7 +4,8 @@ The feature extractor F (two 3x3 conv/relu/avg-pool blocks, global average
 pooling, dense to a 64-d feature z) feeds a scene classifier C (dense to
 class logits) and a domain discriminator D (dense 64->32, relu, dense
 32->out) through a gradient-reversal node. `forward` builds this one graph,
-with no softmax, in every mode; the mode sets only D's width and its loss:
+with no softmax, in every mode (an inference pass, ``grad=False``, computes
+its values and records none of it); the mode sets only D's width and its loss:
 
 - ``dann``    binary source/target, squared-error loss on the softmax of the
               logits (all targets collapsed to one domain label);
@@ -28,7 +29,7 @@ import numpy as np
 
 from mtda import autodiff as ad
 from mtda import checkpoint
-from mtda.errors import Checked, ContractError, ShapeError, rule
+from mtda.errors import Checked, ContractError, ShapeError, check, rule
 
 FEATURE_DIM = 64
 DISC_HIDDEN = 32
@@ -56,10 +57,15 @@ class ModelConfig(Checked):
     n_domains: int = rule(int, ge=2)
     mode: Mode = rule(str, among=tuple(m.value for m in Mode))
     conv_channels: tuple = rule(tuple, (4, 8), item=int, size=2, ge=1)
+    classes: tuple | None = None  # the scene of each class output, in order; `evaluate` keys test labels on them
 
     def __post_init__(self):
         super().__post_init__()
         self.mode = Mode(self.mode)
+        if self.classes is not None:
+            self.classes = check("classes", self.classes, tuple, item=str, size=self.n_classes)
+            if len(set(self.classes)) < self.n_classes:
+                raise ContractError(f"classes must be distinct, got {self.classes!r}")
 
 
 class AdversarialModel:
@@ -137,8 +143,10 @@ class ForwardPass:
     leaves: dict = field(default_factory=dict)  # param name -> leaf Tensor
 
 
-def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> ForwardPass:
-    """Build the computation graph, in the model's dtype, for a batch x of shape (n, h, w) or (n, 1, h, w)."""
+def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0, *, grad: bool = True) -> ForwardPass:
+    """Build the computation graph, in the model's dtype, for a batch x of shape (n, h, w) or (n, 1, h, w).
+    With ``grad=False`` (inference) it records no graph: the same values, bit for bit, but no node
+    keeps parents or a backward closure, and the conv blocks keep no relu mask."""
     x = np.asarray(x, dtype=model.params["f/w"].dtype)
     if x.ndim == 3:
         x = x[:, None, :, :]
@@ -146,7 +154,7 @@ def forward(model: AdversarialModel, x: np.ndarray, lambda_d: float = 1.0) -> Fo
         raise ShapeError("input must be (n, h, w) or (n, 1, h, w)", x.shape)
     if min(x.shape[2:]) < 4:
         raise ShapeError("feature height and width must be at least 4 (two 2x2 pools)", x.shape)
-    leaves = {name: ad.Tensor(arr, requires_grad=True, name=name) for name, arr in model.params.items()}
+    leaves = {name: ad.Tensor(arr, requires_grad=grad, name=name) for name, arr in model.params.items()}
 
     h = ad.conv_relu_pool(ad.Tensor(x, name="x"), leaves["f/conv1"])
     h = ad.conv_relu_pool(h, leaves["f/conv2"])

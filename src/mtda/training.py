@@ -20,7 +20,8 @@ above the features (tracemalloc), about 0.62 MB per sample (its batch copy
 among them) plus 3.5 MB.
 `evaluate` and `export_embeddings` hold the features plus one inference pass
 of INFERENCE_ROWS rows: `_inference` reads what its caller needs from each
-pass before it builds the next.
+pass before it builds the next. An inference pass records no graph (no
+parents, backward closures or relu masks), since nothing differentiates it.
 
 `train` returns the kept model and its `TrainReport` (loss curve, holdout
 accuracy); `evaluate` returns the `ExperimentReport` of test accuracies.
@@ -111,22 +112,20 @@ class Adam:
 class LoadedDataset:
     rows: list
     features: np.ndarray  # aligned with rows, (n, h, w)
-    classes: list  # scenes of the labeled train rows: the model's outputs, in order
+    classes: list  # the scene of each model output, in order
     devices: list
     labels: np.ndarray  # each row's position in classes; -1 for no scene or one outside them
     row_devices: np.ndarray  # each row's device
 
 
-def load_dataset(rows, split="train") -> LoadedDataset:
-    """Load the features of the `split` rows that have them.
-
-    `classes` always comes from the labeled train rows, whatever the split,
-    so that evaluation keys its labels on the same outputs training did.
-    """
-    classes = sorted({r.scene for r in rows if r.split == "train" and r.scene and r.feature_path})
+def load_dataset(rows, split="train", classes=None) -> LoadedDataset:
+    """Load the features of the `split` rows that have them, labeled by their
+    positions in `classes`: by default the sorted scenes of those rows, the
+    outputs `train` gives a model; `evaluate` passes the model's own."""
     rows = [r for r in rows if r.split == split and r.feature_path]
     if not rows:
         raise ContractError(f"manifest has no {split} rows with extracted features")
+    classes = sorted({r.scene for r in rows if r.scene}) if classes is None else list(classes)
     position = {scene: k for k, scene in enumerate(classes)}
     return LoadedDataset(
         rows=rows,
@@ -261,7 +260,7 @@ def train(config: TrainConfig, rows, index_table: DomainIndexTable) -> TrainResu
         raise ContractError("no source rows left after holdout split")
 
     # ModelConfig rejects a single class or domain
-    model_config = ModelConfig(len(data.classes), n_domains, config.mode, config.conv_channels)
+    model_config = ModelConfig(len(data.classes), n_domains, config.mode, config.conv_channels, tuple(data.classes))
     model = AdversarialModel.initialize(model_config, seed=config.seed)
     optimizer = Adam(model.params, config.learning_rate)
 
@@ -291,15 +290,15 @@ def _step(model, optimizer, batch, config):
     return float(l_y.value), float(l_d.value), float(total.value)
 
 
-INFERENCE_ROWS = 64  # rows per inference pass; a pass at 638x64 float32 holds about 20 MB
+INFERENCE_ROWS = 64  # rows per inference pass; a pass records no graph and at 638x64 float32 holds about 18 MB
 
 
 def _inference(model, x, read):
-    """`read(fwd)` of the lambda_d = 0 forward pass of each INFERENCE_ROWS batch of `x`,
-    concatenated. Each pass is read and dropped before the next batch's is built, so only
-    one batch's graph is alive at a time."""
+    """`read(fwd)` of the gradient-free forward pass of each INFERENCE_ROWS batch of `x`,
+    concatenated. A pass records no graph, and each is read and dropped before the next
+    batch's is built, so only one batch's values are alive at a time."""
     starts = range(0, len(x), INFERENCE_ROWS)
-    return np.concatenate([read(forward(model, x[lo : lo + INFERENCE_ROWS], lambda_d=0.0)) for lo in starts])
+    return np.concatenate([read(forward(model, x[lo : lo + INFERENCE_ROWS], grad=False)) for lo in starts])
 
 
 def predict(model, x):
@@ -311,14 +310,14 @@ def predict(model, x):
 
 
 def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentReport:
-    data = load_dataset(rows, "test")
+    """Test accuracy per device and per group. Test labels are keyed on the class names the model
+    records (`train` names its outputs by the sorted labeled train scenes), not on the manifest's."""
+    if model.config.classes is None:
+        raise ContractError("the model records no class names to key test labels on: retrain it")
+    data = load_dataset(rows, "test", model.config.classes)
     unlabeled = [r.id for r in data.rows if not r.scene]
     if unlabeled:
         raise ContractError(f"{len(unlabeled)} test rows missing evaluation labels: {unlabeled[:3]}")
-    if len(data.classes) != model.config.n_classes:
-        raise ContractError(
-            f"manifest has {len(data.classes)} labeled train classes, the model {model.config.n_classes}"
-        )
     unknown = sorted({r.scene for r in data.rows} - set(data.classes))
     if unknown:
         raise ContractError(f"test scenes not among the train classes: {unknown}")
@@ -340,9 +339,12 @@ def evaluate(model: AdversarialModel, rows, device_groups=None) -> ExperimentRep
 
 
 def _check_device_groups(device_groups, rows):
-    """Each group member must be a device with test rows that `evaluate` can score."""
+    """Each group member must be a device with test rows that `evaluate` can score, named once."""
     tested = {r.device for r in rows if r.split == "test" and r.feature_path}
     for name, members in (device_groups or {}).items():
+        repeated = sorted({d for d in members if members.count(d) > 1})
+        if repeated:
+            raise ContractError(f"device group {name} names devices more than once: {repeated}")
         unknown = sorted(set(members) - tested)
         if unknown:
             raise ContractError(f"device group {name} names devices with no test rows: {unknown}")

@@ -19,7 +19,7 @@ import mtda
 from mtda.checkpoint import MAGIC, load_tensors, save_features, save_tensors
 from mtda.cli import build_parser, main
 from mtda.geometry import DomainEntry, index_table_payload, save_index_table
-from mtda.manifest import HEADER, ManifestRow, write_manifest
+from mtda.manifest import HEADER, ManifestRow, read_manifest, write_manifest
 from mtda.synth import SynthConfig
 from mtda.training import TrainConfig, train
 
@@ -385,6 +385,67 @@ class TestTrainEval:
                      "--out", str(ev)]) == 0
         for report in (run / "report.json", ev / "report.json"):
             assert "index_table" not in json.loads(report.read_text())
+
+
+@pytest.fixture(scope="module")
+def learned_run(tmp_path_factory):
+    """A 3-class, 2-device synth set and the 30-epoch model trained on it, which tells the classes
+    apart: a model that predicts one class of balanced test rows scores the same under any labels."""
+    work = tmp_path_factory.mktemp("learned")
+    synth = {"n_classes": 3, "devices": [["A", 0.0], ["B", 0.3]], "samples_per_device_per_class": 8, "seed": 1}
+    (work / "synth.json").write_text(json.dumps(synth))
+    (work / "train.json").write_text(json.dumps({"epochs": 30, "seed": 0}))
+    save_index_table({"A": DomainEntry(0.0, 0), "B": DomainEntry(0.3, 1)}, work / "index.json")
+    assert main(["synth", "--config", str(work / "synth.json"), "--out", str(work / "data")]) == 0
+    assert main(["train", "--config", str(work / "train.json"), "--manifest", str(work / "data/manifest.csv"),
+                 "--index", str(work / "index.json"), "--out", str(work / "run")]) == 0
+    return work
+
+
+class TestEvalKeysOnClassNames:
+    """`eval` keys test labels on the class names the checkpoint records, not on the manifest's scenes."""
+
+    def _eval(self, work, rows, tmp_path, *flags, checkpoint=None):
+        """The exit code of `eval` on `rows`, and the accuracy.csv it writes."""
+        write_manifest(rows, tmp_path / "manifest.csv")
+        code = main(["eval", "--checkpoint", str(checkpoint or work / "run/checkpoint.mtda"),
+                     "--manifest", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "eval"), *flags])
+        return code, tmp_path / "eval/accuracy.csv"
+
+    def test_renamed_class_scores_the_same_or_exits_one(self, learned_run, tmp_path, capsys):
+        # labels keyed on the manifest's sorted scenes would shift with scene0 renamed to zz
+        renamed = [replace(r, scene="zz") if r.scene == "scene0" else r
+                   for r in read_manifest(learned_run / "data/manifest.csv")]
+        code, accuracy = self._eval(learned_run, renamed, tmp_path)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1:
+            assert "test scenes not among the train classes: ['zz']" in err
+        else:
+            assert code == 0 and accuracy.read_bytes() == (learned_run / "run/accuracy.csv").read_bytes()
+
+    def test_test_rows_alone_score_the_same(self, learned_run, tmp_path):
+        rows = [r for r in read_manifest(learned_run / "data/manifest.csv") if r.split == "test"]
+        code, accuracy = self._eval(learned_run, rows, tmp_path)
+        assert code == 0 and accuracy.read_bytes() == (learned_run / "run/accuracy.csv").read_bytes()
+
+    def test_checkpoint_without_class_names_exits_one(self, learned_run, tmp_path, capsys):
+        nameless = tmp_path / "nameless.mtda"
+        save_tensors(nameless, _with_fields(load_tensors(learned_run / "run/checkpoint.mtda"), classes=None))
+        rows = read_manifest(learned_run / "data/manifest.csv")
+        assert self._eval(learned_run, rows, tmp_path, checkpoint=nameless)[0] == 1
+        err = capsys.readouterr().err
+        assert "records no class names to key test labels on: retrain it" in err and "Traceback" not in err
+
+    def test_repeated_group_device_exits_one(self, learned_run, tmp_path, capsys):
+        # counted twice, A would weigh double in the group's mean: 0.556 where A and B average 0.5
+        config = tmp_path / "groups.json"
+        config.write_text(json.dumps({"device_groups": {"g": ["A", "A", "B"]}}))
+        rows = read_manifest(learned_run / "data/manifest.csv")
+        code, accuracy = self._eval(learned_run, rows, tmp_path, "--config", str(config))
+        err = capsys.readouterr().err
+        assert code == 1 and not accuracy.exists()
+        assert "device group g names devices more than once: ['A']" in err and "Traceback" not in err
 
 
 class TestIndexCommand:

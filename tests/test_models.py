@@ -1,5 +1,6 @@
 """Tests for the adversarial model, its losses, and the discriminator oracles."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,29 @@ class TestForward:
         for k, g in grads.items():
             np.testing.assert_array_equal(g, grads2[k])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_inference_pass_records_no_graph(self, monkeypatch, mode, dtype):
+        """A grad=False pass builds the same nodes with the same bits, and none keeps parents or a closure."""
+        model = make_model(mode, dtype=dtype)
+        x = np.random.default_rng(3).normal(size=(5, 1, 16, 20))  # 20 columns pack into 3 mask bytes
+        make_node = ad._node
+
+        def recorded(grad):
+            nodes = []
+            monkeypatch.setattr(ad, "_node", lambda *args, **kw: nodes.append(make_node(*args, **kw)) or nodes[-1])
+            fwd = forward(model, x, grad=grad)
+            monkeypatch.setattr(ad, "_node", make_node)
+            return fwd, nodes
+
+        (graph, graph_nodes), (values, nodes) = recorded(True), recorded(False)
+        assert len(nodes) == len(graph_nodes) and all(n._parents and n._backward for n in graph_nodes)
+        for node in (*nodes, *values.leaves.values()):
+            assert not node.requires_grad and node._parents == () and node._backward is None
+        for name in ("z", "y_logits", "d_out"):
+            a, b = getattr(values, name).value, getattr(graph, name).value
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
     def test_duplicated_inputs_give_identical_rows(self):
         model = make_model(Mode.MTDA_C2)
         x0 = RNG.normal(size=(1, 1, 16, 16))
@@ -133,6 +157,26 @@ class TestForward:
         cfg = ModelConfig(n_classes=5, n_domains=4, mode=Mode.MTDA_R)
         with pytest.raises(ContractError, match="inconsistent with mode"):
             AdversarialModel(cfg, model.params)
+
+
+class TestModelConfig:
+    def test_class_names_are_kept_as_a_tuple(self):
+        assert ModelConfig(3, 2, "dann", classes=["b", "a", "c"]).classes == ("b", "a", "c")
+        assert ModelConfig(3, 2, "dann").classes is None
+
+    @pytest.mark.parametrize(
+        "classes, expect",
+        [
+            (("a", "b"), "classes must hold 3 values, got ('a', 'b')"),
+            (("a", "b", "a"), "classes must be distinct, got ('a', 'b', 'a')"),
+            (("a", "b", 3), "classes[2] must be a string, got 3"),
+            ("abc", "classes must be a list of str, got 'abc'"),
+        ],
+        ids=["too-few", "repeated", "not-a-string", "one-string"],
+    )
+    def test_class_names_must_be_n_classes_distinct_strings(self, classes, expect):
+        with pytest.raises(ContractError, match=re.escape(expect)):
+            ModelConfig(3, 2, "dann", classes=classes)
 
 
 class TestSceneLoss:
@@ -329,11 +373,11 @@ class TestSerialization:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_round_trip_preserves_mode_and_params(self, tmp_path, mode):
         model = make_model(mode, dtype=np.float32)
+        model = AdversarialModel(replace(model.config, classes=("e", "d", "c", "b", "a")), model.params)
         path = tmp_path / "model.mtda"
         model.save(path)
         loaded = AdversarialModel.load(path)
-        assert loaded.config.mode == mode
-        assert loaded.config.n_classes == model.config.n_classes
+        assert loaded.config == model.config
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
 

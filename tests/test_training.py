@@ -75,7 +75,7 @@ class TestTrainConfig:
 
 
 class TestLoadDataset:
-    def test_rows_encoded_against_train_classes(self, small_dataset):
+    def test_rows_encoded_against_the_classes_given(self, small_dataset):
         _, rows = small_dataset
         data = load_dataset(rows)
         assert data.classes == ["scene0", "scene1", "scene2"]
@@ -85,10 +85,11 @@ class TestLoadDataset:
                 assert label == data.classes.index(row.scene)
             else:  # unlabeled target row
                 assert row.scene == "" and label == -1
-        # test labels stay keyed on the train classes: with scene0 renamed, a
-        # test-keyed encoding would move scene1 to 0
+        # test labels are keyed on the classes given (a model's names), not on the
+        # split's own scenes: with scene0 renamed, those would move scene1 to 0
         renamed = [replace(r, scene="sceneZ") if r.split == "test" and r.scene == "scene0" else r for r in rows]
-        test = load_dataset(renamed, "test")
+        assert load_dataset(renamed, "test").classes == ["scene1", "scene2", "sceneZ"]
+        test = load_dataset([r for r in renamed if r.split == "test"], "test", data.classes)  # needs no train row
         assert test.classes == data.classes
         assert test.labels.tolist() == [{"scene1": 1, "scene2": 2}.get(r.scene, -1) for r in test.rows]
         assert {r.scene for r, label in zip(test.rows, test.labels) if label == -1} == {"sceneZ"}
@@ -129,6 +130,7 @@ class TestTrain:
         cfg = TrainConfig(mode="mtda-c2", lambda_d=1.0, seed=3, **FAST)
         a = train(cfg, rows, INDEX_TABLE)
         b = train(cfg, rows, INDEX_TABLE)
+        assert a.model.config.classes == ("scene0", "scene1", "scene2")  # the sorted labeled train scenes
         for k in a.model.params:
             assert a.model.params[k].tobytes() == b.model.params[k].tobytes()
 
@@ -241,11 +243,18 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(TrainConfig(**FAST), targets_only, INDEX_TABLE)
 
-    def test_unknown_group_device_rejected_before_training(self, small_dataset, monkeypatch):
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            (["B", "Z"], "device group targets names devices with no test rows: ['Z']"),
+            (["B", "C", "B"], "device group targets names devices more than once: ['B']"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    def test_bad_group_rejected_before_training(self, members, message, small_dataset, monkeypatch):
         _, rows = small_dataset
         monkeypatch.setattr("mtda.training.forward", lambda *a, **k: pytest.fail("a step ran"))
-        cfg = TrainConfig(device_groups={"targets": ["B", "Z"]}, lambda_grid=(0.5, 1.0), **FAST)
-        message = "device group targets names devices with no test rows: ['Z']"
+        cfg = TrainConfig(device_groups={"targets": members}, lambda_grid=(0.5, 1.0), **FAST)
         with pytest.raises(ContractError, match=re.escape(message)):
             train(cfg, rows, INDEX_TABLE)
         results, best = sweep(cfg, rows, INDEX_TABLE)
@@ -298,12 +307,13 @@ class TestOneBatchGraph:
         per_sample = (large - small) / (64 - 8)
         assert per_sample < 0.55e6, f"{per_sample / 1e6:.3f} MB a sample, {small / 1e6:.1f} at 8, {large / 1e6:.1f} at 64"
 
-    def test_predict_of_192_rows_peaks_below_25_mb(self):
-        # three 64-row passes, one alive at a time; with a bool relu mask a pass peaked at 33.5 MB
+    def test_predict_of_192_rows_peaks_below_18_5_mb(self):
+        # three 64-row passes, one alive at a time, each recording no graph; one that kept every
+        # node's parents, closure and packed relu mask peaked at 19.8 MB, with a bool mask at 33.5 MB
         model = AdversarialModel.initialize(ModelConfig(n_classes=10, n_domains=3, mode=Mode.MTDA_C2), seed=0)
         x = np.random.default_rng(1).normal(size=(3 * 64, 638, 64)).astype(np.float32)
         _, peak = traced_peak(lambda: predict(model, x))
-        assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < 18.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestEvaluate:
@@ -326,10 +336,12 @@ class TestEvaluate:
         assert report.groups["B&C"] == pytest.approx(expected, rel=1e-12)
 
 
-def _constant_predictor(n_classes, label):
-    """A model whose classifier outputs `label` for every input."""
+def _constant_predictor(n_classes, label, classes=None):
+    """A model whose classifier outputs `label` for every input; its classes are
+    scene0, scene1, ... unless named."""
+    classes = classes or tuple(f"scene{k}" for k in range(n_classes))
     model = AdversarialModel.initialize(
-        ModelConfig(n_classes=n_classes, n_domains=3, mode=Mode.MTDA_C2, conv_channels=(2, 4)), seed=0
+        ModelConfig(n_classes=n_classes, n_domains=3, mode=Mode.MTDA_C2, conv_channels=(2, 4), classes=classes), seed=0
     )
     bias = np.zeros_like(model.params["c/b"])
     bias[label] = 10.0
@@ -362,10 +374,26 @@ class TestEvaluateClasses:
         with pytest.raises(ContractError, match=r"device group targets names devices with no test rows: \['Z'\]"):
             evaluate(_constant_predictor(3, 0), rows, device_groups={"targets": ["B", "Z"]})
 
-    def test_class_count_must_match_model(self, small_dataset):
+    def test_repeated_group_device_rejected(self, small_dataset):
         _, rows = small_dataset
-        with pytest.raises(ContractError, match="3 labeled train classes, the model 4"):
-            evaluate(_constant_predictor(4, 0), rows)
+        with pytest.raises(ContractError, match=re.escape("device group g names devices more than once: ['A']")):
+            evaluate(_constant_predictor(3, 0), rows, device_groups={"g": ["A", "A", "B"]})
+
+    def test_labels_keyed_on_the_model_names(self, small_dataset):
+        # 4 outputs named in another order than the manifest's 3 sorted scenes; output 1 is scene0,
+        # so each device scores the share of scene0 among its test rows
+        _, rows = small_dataset
+        report = evaluate(_constant_predictor(4, 1, ("scene2", "scene0", "sceneX", "scene1")), rows)
+        for device, stats in report.per_device.items():
+            scenes = [r.scene for r in rows if r.split == "test" and r.device == device]
+            assert stats == {"accuracy": scenes.count("scene0") / len(scenes), "count": len(scenes)}
+
+    def test_model_without_class_names_rejected(self, small_dataset):
+        _, rows = small_dataset
+        model = _constant_predictor(3, 0)
+        nameless = AdversarialModel(replace(model.config, classes=None), model.params)
+        with pytest.raises(ContractError, match="records no class names to key test labels on: retrain it"):
+            evaluate(nameless, rows)
 
 
 class TestExportEmbeddings:
