@@ -60,7 +60,11 @@ def resample(clip: AudioClip) -> AudioClip:
 
         ratio = Fraction(TARGET_RATE, clip.sample_rate).limit_denominator(1000)
         up, down = ratio.numerator, ratio.denominator
-        samples = resample_poly(clip.samples, up, down, window=resample_filter(up, down))
+        h = resample_filter(up, down)
+        # output k reads input up to (k * down + len(h) / 2) / up, so the 10 s kept need no more
+        # input than this; the rest would only make samples the cut drops (up / down of them per input)
+        needed = -(-CLIP_SAMPLES * down // up) + -(-len(h) // up)
+        samples = resample_poly(clip.samples[:needed], up, down, window=h)
     if len(samples) >= CLIP_SAMPLES:
         samples = samples[:CLIP_SAMPLES]
     else:
@@ -143,25 +147,33 @@ def logmel(clip: AudioClip) -> FeatureTensor:
 
 def load_wav(path, payload) -> AudioClip:
     """Decode `payload`, the bytes of a 16-bit PCM RIFF WAV file; stereo is
-    downmixed by channel averaging. `path` only names the file in errors."""
-    with wave.open(io.BytesIO(payload), "rb") as wf:
-        if wf.getsampwidth() != 2:
-            raise ContractError(f"{path}: only 16-bit PCM WAV is supported")
-        rate = wf.getframerate()
-        n_channels = wf.getnchannels()
-        raw = wf.readframes(wf.getnframes())
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    data /= 32768.0
-    if n_channels > 1:
-        # the channels summed in order, then divided by their count: numpy's
-        # mean over each frame bit for bit (it sums fewer than 8 values in
-        # order), without its strided reduction
-        frames = data.reshape(-1, n_channels)
-        data = frames[:, 0].copy()
-        for c in range(1, n_channels):
-            data += frames[:, c]
-        data /= n_channels
-    return AudioClip(samples=data, sample_rate=rate)
+    downmixed by channel averaging. `path` only names the file in errors: a
+    payload that is no such file is a ContractError naming it, whichever layer
+    finds the fault (`wave`'s chunk parser, the frame count or `AudioClip`)."""
+    try:
+        with wave.open(io.BytesIO(payload), "rb") as wf:
+            if wf.getsampwidth() != 2:
+                raise ContractError("only 16-bit PCM WAV is supported")
+            rate = wf.getframerate()
+            n_channels = wf.getnchannels()
+            raw = wf.readframes(wf.getnframes())
+        if len(raw) % (2 * n_channels):
+            raise ContractError(f"{len(raw)} data bytes are not whole {n_channels}-channel 16-bit frames")
+        data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        data /= 32768.0
+        if n_channels > 1:
+            # the channels summed in order, then divided by their count: numpy's
+            # mean over each frame bit for bit (it sums fewer than 8 values in
+            # order), without its strided reduction
+            frames = data.reshape(-1, n_channels)
+            data = frames[:, 0].copy()
+            for c in range(1, n_channels):
+                data += frames[:, c]
+            data /= n_channels
+        return AudioClip(samples=data, sample_rate=rate)
+    except (ContractError, wave.Error, EOFError, RuntimeError) as exc:
+        # `wave` raises a bare EOFError or RuntimeError for a chunk that runs past its container
+        raise ContractError(f"{path}: {str(exc) or 'a chunk runs past the end of the file'}") from None
 
 
 @dataclass
@@ -202,7 +214,7 @@ def ingest(rows, out_dir) -> IngestResult:
                 feat = logmel(clip)
                 checkpoint.save_features(feature_path, feat.frames)
             updated.append(replace(row, feature_path=str(feature_path)))
-        except (ContractError, wave.Error, EOFError, OSError, ValueError) as exc:
+        except (ValueError, OSError) as exc:  # a ContractError, or a path holding NUL, or a rate scipy cannot resample
             errors.append((row.id, str(exc)))
             updated.append(row)
     return IngestResult(rows=updated, errors=errors)

@@ -11,24 +11,22 @@ input form a column matrix that one matmul with the flattened kernel turns
 into the output. Backward rebuilds the columns (they are not kept in the
 graph) for dK and scatters ``k.T @ g`` back through the same 9 slices for dx.
 Pooling sums four strided slices in place. `conv2d` is the whole-batch
-reference: one column matrix for the batch, 9x the input (47 MB at batch 32
-of 638x64 audio features, built again in backward and once more as the dx
-columns). `conv_relu_pool`, the model's block (conv, relu, pool) as one node,
-is the only op that runs in batch chunks, each with a column matrix of about
-CHUNK_BYTES: only the pooled value and the relu mask, one bit per conv output
-(`np.packbits`, 8 columns to a byte), are kept for the whole batch, the mask
-only by a node that keeps a backward, and that backward unpacks, unpools,
-masks and scatters one chunk at a time. A relu
+reference: one column matrix for the batch, 9x the input, built again in
+backward and once more as the dx columns. `conv_relu_pool`, the model's block
+(conv, relu, pool) as one node, is the only op that runs in batch chunks, each
+with a column matrix of about CHUNK_BYTES: only the pooled value and the relu
+mask, one bit per conv output (`np.packbits`, 8 columns to a byte), are kept
+for the whole batch, the mask only by a node that keeps a backward, and that
+backward unpacks, unpools, masks and scatters one chunk at a time. A relu
 followed by a pool needs only the sign of each input in backward (the
-"Binarize" encoding of Jain et al., Gist, ISCA 2018): the bool mask took a
-byte per element, 245 KB of the 0.667 MB a 1x638x64 sample held through a
-train step, and the packed one takes 31 KB. Chunking and packing keep every
-bit: numpy's stacked matmul already runs one GEMM per sample, dK is still the
-sum of the whole per-sample stack, col2im adds the 9 offsets in the same
-order, and an unpacked 0/1 byte viewed as bool multiplies as the bool did.
-Its relu is two branch-free passes, ``act *= mask`` then ``act += 0.0``: a
-masked write branches on every element and cost more than the conv GEMM, and
-adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into relu's ``+0.0``.
+"Binarize" encoding of Jain et al., Gist, ISCA 2018), so one bit holds all a
+decision needs. Chunking and packing keep every bit: numpy's stacked matmul
+already runs one GEMM per sample, dK is still the sum of the whole per-sample
+stack, col2im adds the 9 offsets in the same order, and an unpacked 0/1 byte
+viewed as bool multiplies as the bool did. Its relu is two branch-free
+passes, ``act *= mask`` then ``act += 0.0``: a masked write branches on every
+element, and adding ``+0.0`` turns the ``-0.0`` a cut negative leaves into
+relu's ``+0.0``.
 
 All values are numpy arrays; float64 is used in tests (finite-difference
 tolerances require it), float32 is fine for training. The GEMMs run in BLAS,
@@ -279,9 +277,8 @@ def avg_pool2(x):
 
 def conv_relu_pool(x, k):
     """``avg_pool2(relu(conv2d(x, k)))`` as one node, bit for bit. Backward keeps only the relu
-    mask, packed 8 columns to a byte: a 1x638x64 float32 sample holds 0.45 MB through a train
-    step (tracemalloc), where a bool mask made it 0.67 MB. A node that needs no gradient keeps
-    no backward (`_node`), so it packs no mask either."""
+    mask, packed 8 columns to a byte. A node that needs no gradient keeps no backward (`_node`),
+    so it packs no mask either."""
     x, k = _as_tensor(x), _as_tensor(k)
     dtype = _check_conv(x, k, "conv_relu_pool")
     (n, _, h, w), f = x.shape, k.shape[0]

@@ -14,9 +14,9 @@ BLOCK_BYTES, and holds P and one block: a gradient sweeps the blocks once and
 stores no kernel, and e*p is formed a block at a time. `affinities`
 calibrates its rows in blocks of about BLOCK_BYTES and symmetrizes P in place
 over the triangle's blocks. The traced peak is P and one row block's
-calibration temporaries, about 0.9 MB (1.19 n^2 float64 at 800 points, 2.29
-n^2 at 300). Blocks keep every bit in `affinities`; in the descent they change
-the order of the sums, which stay within 1e-13 of the dense formula.
+calibration temporaries. Blocks keep every bit in `affinities`; in the
+descent they change the order of the sums, which stay within 1e-13 of the
+dense formula.
 """
 
 from __future__ import annotations

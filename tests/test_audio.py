@@ -77,12 +77,23 @@ class TestResample:
         with pytest.raises(ContractError):
             AudioClip(np.array([]), 32000)
 
-    @pytest.mark.parametrize("rate,up,down", [(44100, 320, 441), (48000, 2, 3)])
-    def test_cached_filter_matches_resample_poly(self, rate, up, down):
-        x = np.random.default_rng(4).uniform(-0.9, 0.9, 3 * rate)
-        expect = resample_poly(x, up, down)
+    @pytest.mark.parametrize(
+        "rate, up, down, n", [(44100, 320, 441, 3 * 44100), (48000, 2, 3, 3 * 48000), (44100, 320, 441, 12 * 44100),
+                              (8000, 4, 1, 12 * 8000), (7, 32000, 7, 200)])
+    def test_cached_filter_matches_resample_poly(self, rate, up, down, n):
+        # the first 10 s of the whole clip resampled, though resample reads only the input they need
+        x = np.random.default_rng(4).uniform(-0.9, 0.9, n)
+        expect = resample_poly(x, up, down)[:CLIP_SAMPLES]
         assert resample(AudioClip(x, rate)).samples[: len(expect)].tobytes() == expect.tobytes()
         assert resample_filter(up, down) is resample_filter(up, down)
+
+    def test_a_tiny_rate_resamples_only_the_input_the_cut_keeps(self, monkeypatch):
+        # up/down is 32000/7 at 7 Hz: all 32000 frames would make 146 M float64 samples (1.17 GB)
+        # before the cut to 10 s, which needs 70 input samples and the filter's reach past them
+        received = []
+        monkeypatch.setattr(audio, "resample_poly", lambda x, *_, **__: received.append(len(x)) or np.zeros(1))
+        resample(AudioClip(np.zeros(32000), 7))
+        assert received == [70 + 21]  # the filter's 640001 taps reach 21 input samples at up = 32000
 
 
 class TestLogmel:

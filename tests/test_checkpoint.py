@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from mtda.checkpoint import FORMAT_VERSION, MAGIC, load_features, load_tensors, save_features, save_tensors
 from mtda.errors import ContractError
+from mtda.manifest import ManifestRow
+from mtda.training import load_dataset
 
 from gradcheck import full_disk_after_half, traced_peak
 
@@ -130,13 +132,17 @@ def test_shapes_outrank_an_earlier_non_finite_file(tmp_path):
         load_features(paths)
 
 
-def test_feature_loading_holds_one_copy(tmp_path):
-    """The result and a few single-file buffers, never the per-file arrays beside a stacked copy."""
+@pytest.mark.parametrize("through", ["load_features", "load_dataset"])
+def test_feature_loading_holds_one_copy(through, tmp_path):
+    """The result and a few single-file buffers, never the per-file arrays beside a stacked copy,
+    whether the files are read alone or as the train split of a manifest."""
     frames = np.zeros((64, 64), dtype=np.float32)
     paths = [tmp_path / f"{k}.mtt" for k in range(200)]
     for k, path in enumerate(paths):
         save_features(path, frames + k)
-    loaded, peak = traced_peak(lambda: load_features(paths))
+    rows = [ManifestRow(id=path.stem, device="A", feature_path=str(path)) for path in paths]
+    load = {"load_features": lambda: load_features(paths), "load_dataset": lambda: load_dataset(rows).features}
+    loaded, peak = traced_peak(load[through])
     np.testing.assert_array_equal(loaded, np.arange(200, dtype=np.float32)[:, None, None] + frames)
     assert peak <= loaded.nbytes + 4 * frames.nbytes, (peak, loaded.nbytes)
 

@@ -20,8 +20,9 @@ from mtda.checkpoint import MAGIC, load_tensors, save_features, save_tensors
 from mtda.cli import build_parser, main
 from mtda.geometry import DomainEntry, index_table_payload, save_index_table
 from mtda.manifest import HEADER, ManifestRow, read_manifest, write_manifest
+from mtda.models import AdversarialModel
 from mtda.synth import SynthConfig
-from mtda.training import TrainConfig, train
+from mtda.training import TrainConfig, load_dataset, predict, train
 
 FAST_TRAIN = {
     "mode": "mtda-c2",
@@ -62,6 +63,24 @@ def train_inputs(small_dataset, tmp_path):
     config = tmp_path / "train.json"
     config.write_text(json.dumps(FAST_TRAIN))
     return manifest, index, config
+
+
+@pytest.fixture(scope="module")
+def learned_run(tmp_path_factory):
+    """A 3-class, 2-device synth set and the 30-epoch model trained on it, which tells the classes
+    apart: a model that predicts one class of balanced test rows scores the same under any labels."""
+    work = tmp_path_factory.mktemp("learned")
+    synth = {"n_classes": 3, "devices": [["A", 0.0], ["B", 0.3]], "samples_per_device_per_class": 8, "seed": 1}
+    (work / "synth.json").write_text(json.dumps(synth))
+    (work / "train.json").write_text(json.dumps({"epochs": 30, "seed": 0}))
+    save_index_table({"A": DomainEntry(0.0, 0), "B": DomainEntry(0.3, 1)}, work / "index.json")
+    assert main(["synth", "--config", str(work / "synth.json"), "--out", str(work / "data")]) == 0
+    assert main(["train", "--config", str(work / "train.json"), "--manifest", str(work / "data/manifest.csv"),
+                 "--index", str(work / "index.json"), "--out", str(work / "run")]) == 0
+    model = AdversarialModel.load(work / "run/checkpoint.mtda")
+    test = load_dataset(read_manifest(work / "data/manifest.csv"), "test", model.config.classes)
+    assert len(set(predict(model, test.features))) > 1, "the model must predict more than one class"
+    return work
 
 
 class TestDispatch:
@@ -364,14 +383,12 @@ class TestTrainEval:
         curve = train(TrainConfig.from_dict(FAST_TRAIN), rows, INDEX_TABLE).report.loss_curve
         assert [[int(r[0]), *map(float, r[1:])] for r in log[1:]] == [list(step) for step in curve]
 
-    def test_train_report_is_the_eval_report(self, train_inputs, tmp_path):
-        manifest, index, config = train_inputs
-        run, ev = tmp_path / "run", tmp_path / "eval"
-        assert main(["train", "--config", str(config), "--manifest", str(manifest), "--index", str(index),
-                     "--out", str(run)]) == 0
-        assert main(["eval", "--checkpoint", str(run / "checkpoint.mtda"), "--manifest", str(manifest),
-                     "--config", str(config), "--out", str(ev)]) == 0
-        report = (run / "report.json").read_bytes()
+    def test_train_report_is_the_eval_report(self, learned_run, tmp_path):
+        ev = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(learned_run / "run/checkpoint.mtda"), "--manifest",
+                     str(learned_run / "data/manifest.csv"), "--config", str(learned_run / "train.json"),
+                     "--out", str(ev)]) == 0
+        report = (learned_run / "run/report.json").read_bytes()
         assert report == (ev / "report.json").read_bytes()
         assert json.loads(report).keys() == {"groups", "per_device"}
 
@@ -385,21 +402,6 @@ class TestTrainEval:
                      "--out", str(ev)]) == 0
         for report in (run / "report.json", ev / "report.json"):
             assert "index_table" not in json.loads(report.read_text())
-
-
-@pytest.fixture(scope="module")
-def learned_run(tmp_path_factory):
-    """A 3-class, 2-device synth set and the 30-epoch model trained on it, which tells the classes
-    apart: a model that predicts one class of balanced test rows scores the same under any labels."""
-    work = tmp_path_factory.mktemp("learned")
-    synth = {"n_classes": 3, "devices": [["A", 0.0], ["B", 0.3]], "samples_per_device_per_class": 8, "seed": 1}
-    (work / "synth.json").write_text(json.dumps(synth))
-    (work / "train.json").write_text(json.dumps({"epochs": 30, "seed": 0}))
-    save_index_table({"A": DomainEntry(0.0, 0), "B": DomainEntry(0.3, 1)}, work / "index.json")
-    assert main(["synth", "--config", str(work / "synth.json"), "--out", str(work / "data")]) == 0
-    assert main(["train", "--config", str(work / "train.json"), "--manifest", str(work / "data/manifest.csv"),
-                 "--index", str(work / "index.json"), "--out", str(work / "run")]) == 0
-    return work
 
 
 class TestEvalKeysOnClassNames:
@@ -629,6 +631,11 @@ def _tiny_features(rows, tmp_path):
     return [replace(r, feature_path=str(tiny)) for r in rows]
 
 
+def _with_u32(payload, offset, value):
+    """`payload` with the little-endian 32-bit field at `offset` set to `value`."""
+    return payload[:offset] + struct.pack("<I", value) + payload[offset + 4 :]
+
+
 _HEAD = ",".join(HEADER).encode()
 
 
@@ -745,6 +752,36 @@ class TestMalformedManifests:
         assert list(tmp_path.rglob("*.mtt")) == [] and list((out / "features").iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "out", "wav.csv"]
 
+    @pytest.mark.parametrize(
+        "mutate, expect",
+        [
+            # wave's chunk parser raises a bare RuntimeError for the first and an empty EOFError for the second
+            (lambda b: _with_u32(b, 16, 60), "bad.wav: a chunk runs past the end of the file"),  # fmt chunk size
+            (lambda b: _with_u32(b, 4, 20), "bad.wav: a chunk runs past the end of the file"),  # RIFF chunk size
+            (lambda b: b[:-1], "bad.wav: 63999 data bytes are not whole 1-channel 16-bit frames"),
+            # a rate too high to resample is a well-formed WAV that scipy rejects
+            (lambda b: _with_u32(b, 24, 100_000_000), "row bad: Invalid cutoff frequency"),
+        ],
+        ids=["fmt-size", "riff-size", "odd-byte-count", "high-rate"],
+    )
+    def test_malformed_wav_fails_its_row_alone(self, mutate, expect, tmp_path, capsys):
+        good, bad = tmp_path / "good.wav", tmp_path / "bad.wav"
+        with wave.open(str(good), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(32000)
+            wf.writeframes(np.arange(32000, dtype="<i2").tobytes())
+        bad.write_bytes(mutate(good.read_bytes()))
+        rows = [ManifestRow(id=p.stem, path=str(p), scene="park", device="A") for p in (good, bad)]
+        write_manifest(rows, tmp_path / "wav.csv")
+        out = tmp_path / "out"
+        assert main(["ingest", "--manifest", str(tmp_path / "wav.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and expect in err
+        ingested = read_manifest(out / "manifest.csv")
+        assert [bool(r.feature_path) for r in ingested] == [True, False]
+        assert Path(ingested[0].feature_path).exists()
+
     @pytest.mark.parametrize("command", ["ingest", "index", "train", "eval"])
     @pytest.mark.parametrize(
         "raw, expect",
@@ -757,9 +794,12 @@ class TestMalformedManifests:
             (codecs.BOM_UTF8 + _HEAD + b"\nr1,,sc\xffene0,A,,train,f.mtt\n", "line 2 is not UTF-8"),
             (_HEAD + b",split\nr1,,scene0,A,,train,f.mtt,test\n", "header repeats columns ['split']"),
             (b"id,path,scene,device\nr1,,scene0,A\n", "missing columns ['feature_path', 'parallel_group', 'split']"),
+            # the stray quote opens a field that takes in the rest of the file, 162 KB
+            (_HEAD + b'\nr1,"x,scene0,A,,train,f.mtt\n' + b"r2,,scene0,A,,train,f.mtt\n" * 6000,
+             "the record from line 2 does not parse: field larger than field limit (131072)"),
         ],
         ids=["short-row", "unquoted-comma", "bad-split", "not-utf8", "not-utf8-after-bom", "repeated-column",
-             "missing-columns"],
+             "missing-columns", "stray-quote"],
     )
     def test_unreadable_row(self, raw, expect, command, train_inputs, checkpoint_path, tmp_path, capsys):
         _, index, config = train_inputs
@@ -818,11 +858,11 @@ class TestByteOrderMark:
         assert main(["train", "--out", str(out), *(arg for pair in inputs.items() for arg in map(str, pair))]) == 0
         assert (out / "checkpoint.mtda").read_bytes() == checkpoint_path.read_bytes()
 
-    def test_manifest_through_index_and_eval(self, train_inputs, checkpoint_path, tmp_path):
-        manifest, _, _ = train_inputs
+    def test_manifest_through_index_and_eval(self, learned_run, tmp_path):
+        manifest = learned_run / "data/manifest.csv"
         for name, path in [("plain", manifest), ("bom", _with_bom(manifest, tmp_path))]:
             assert main(["index", "--manifest", str(path), "--out", str(tmp_path / name), "--tsne-iters", "60"]) == 0
-            assert main(["eval", "--checkpoint", str(checkpoint_path), "--manifest", str(path),
+            assert main(["eval", "--checkpoint", str(learned_run / "run/checkpoint.mtda"), "--manifest", str(path),
                          "--out", str(tmp_path / name)]) == 0
         for output in ("index.json", "report.json", "accuracy.csv"):
             assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
@@ -834,19 +874,18 @@ class TestByteOrderMark:
         assert recorded[0] == recorded[1]
 
 
-def test_csv_outputs_are_utf8_in_an_ascii_locale(train_inputs, tmp_path):
+def test_csv_outputs_are_utf8_in_an_ascii_locale(learned_run, tmp_path):
     """A device group named outside ASCII is written to accuracy.csv as UTF-8 whatever the locale."""
-    manifest, index, _ = train_inputs
     config = tmp_path / "groups.json"
-    config.write_text(json.dumps({**FAST_TRAIN, "device_groups": {"Zielgeräte": ["B", "C"]}}, ensure_ascii=False),
-                      encoding="utf-8")
+    config.write_text(json.dumps({"device_groups": {"Zielgeräte": ["A", "B"]}}, ensure_ascii=False), encoding="utf-8")
     src = str(Path(mtda.__file__).resolve().parents[1])
     for name, locale in [("utf8", {"PYTHONUTF8": "1"}), ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
                                                                    "PYTHONUTF8": "0"})]:
         env = {**os.environ, "PYTHONPATH": src, **locale}
-        done = subprocess.run([sys.executable, "-m", "mtda.cli", "train", "--config", str(config), "--manifest",
-                               str(manifest), "--index", str(index), "--out", str(tmp_path / name)],
-                              env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "mtda.cli", "eval", "--checkpoint",
+                               str(learned_run / "run/checkpoint.mtda"), "--manifest",
+                               str(learned_run / "data/manifest.csv"), "--config", str(config),
+                               "--out", str(tmp_path / name)], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
     accuracy = (tmp_path / "ascii" / "accuracy.csv").read_bytes()
     assert accuracy == (tmp_path / "utf8" / "accuracy.csv").read_bytes()

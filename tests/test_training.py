@@ -471,24 +471,33 @@ class TestIndexPipeline:
         assert table["C"].index == 2  # magnitude 1.0
         assert table["B"].distance < table["C"].distance
 
-    def test_holds_one_file_not_the_stacked_frames(self, tmp_path):
-        # 60 clips of 10 s log-mel frames (638x64 float32) take 9.8 MB stacked; the index
-        # needs their 64-d time averages, taken as each file is read, then P and one block
+    @pytest.mark.parametrize(
+        "devices, per_device, parallel, frames, bound",
+        [
+            # 60 clips of 10 s log-mel frames (638x64 float32) take 9.8 MB stacked
+            ("ABC", 20, 20, (638, 64), lambda stacked, p_bytes: stacked / 10 + p_bytes),
+            # the pipeline's 240 train rows of 64x64 per device, half of them parallel, 200 kept
+            ("ABCD", 240, 120, (64, 64), lambda stacked, p_bytes: 1.35 * p_bytes),
+        ],
+        ids=["audio-clips", "pipeline"],
+    )
+    def test_holds_one_file_not_the_stacked_frames(self, devices, per_device, parallel, frames, bound, tmp_path):
+        # the index needs the kept rows' 64-d time averages, taken as each file is read, then P and one block
         import scipy.spatial.distance  # noqa: F401  imported before tracing starts
 
         rng = np.random.default_rng(4)
         rows, paths = [], []  # the paths stay alive so that reading them interns no new name
-        for d, device in enumerate("ABC"):
-            for k in range(20):
+        for d, device in enumerate(devices):
+            for k in range(per_device):
                 paths.append(tmp_path / f"{device}{k}.mtt")
-                checkpoint.save_features(paths[-1], rng.normal(loc=d, size=(638, 64)))
-                scene = "s0" if device == "A" else ""
-                rows.append(ManifestRow(id=paths[-1].stem, scene=scene, device=device, parallel_group=f"g{k}",
-                                        feature_path=str(paths[-1])))
+                checkpoint.save_features(paths[-1], rng.normal(loc=d, size=frames))
+                rows.append(ManifestRow(id=paths[-1].stem, scene="s0" if device == "A" else "", device=device,
+                                        parallel_group=f"g{k}" if k < parallel else "", feature_path=str(paths[-1])))
         table, peak = traced_peak(lambda: compute_index_table(rows, seed=0, tsne_iters=20))
-        stacked, p_bytes = len(rows) * 638 * 64 * 4, len(rows) ** 2 * 8
-        assert sorted(table) == ["A", "B", "C"]
-        assert peak <= stacked / 10 + p_bytes, f"peak {peak} B, stacked frames {stacked} B"
+        kept = len(devices) * min(per_device, 200)
+        stacked, p_bytes = kept * frames[0] * frames[1] * 4, kept**2 * 8
+        assert sorted(table) == list(devices)
+        assert peak <= bound(stacked, p_bytes), f"peak {peak} B ({peak / p_bytes:.3f} P), stacked frames {stacked} B"
 
     def test_reads_only_the_kept_rows(self, small_dataset, monkeypatch):
         # each device has 9 parallel and 9 other train rows: a budget of 12 keeps

@@ -326,12 +326,13 @@ print(hashlib.sha256(emb.points.tobytes() + np.float64(emb.kl_final).tobytes()).
 """
         assert _run_with_blas_threads(code, 1) == _run_with_blas_threads(code, 2)
 
-    @pytest.mark.parametrize("n, bound", [(300, 2.4), (600, 1.4), (800, 1.25)])
+    @pytest.mark.parametrize("n, bound", [(300, 2.4), (600, 1.4), (800, 1.25), (960, 1.2)])
     def test_peak_is_p_and_row_blocks(self, n, bound):
         # P and one row block's calibration temporaries, about 0.93 MB, set the peak
-        # (2.29 n^2 at 300 points, 1.33 at 600, 1.19 at 800); symmetrizing P and the
-        # descent hold P and one or two upper-triangle blocks of about BLOCK_BYTES, and
-        # no n x n buffer. scipy is imported first so its modules are not counted
+        # (2.29 n^2 at 300 points, 1.33 at 600, 1.19 at 800, 1.13 at 960, the pipeline's
+        # train rows); symmetrizing P and the descent hold P and one or two upper-triangle
+        # blocks of about BLOCK_BYTES, and no n x n buffer. scipy is imported first so its
+        # modules are not counted
         import scipy.spatial.distance  # noqa: F401
 
         x = np.random.default_rng(n).normal(size=(n, 64))
