@@ -53,13 +53,15 @@ class FeatureTensor:
 
 def resample(clip: AudioClip) -> AudioClip:
     """Resample to 32 kHz and fix the duration to exactly 10 s."""
-    if clip.sample_rate == TARGET_RATE:
+    from fractions import Fraction
+
+    ratio = Fraction(TARGET_RATE, clip.sample_rate).limit_denominator(1000)
+    up, down = ratio.numerator, ratio.denominator
+    if up == 0:  # the ratio rounds to 0 above about 64 MHz
+        raise ContractError(f"sample rate {clip.sample_rate} Hz is too high to resample to {TARGET_RATE} Hz")
+    if up == down:  # 32 kHz, or within about 16 Hz of it
         samples = clip.samples
     else:
-        from fractions import Fraction
-
-        ratio = Fraction(TARGET_RATE, clip.sample_rate).limit_denominator(1000)
-        up, down = ratio.numerator, ratio.denominator
         h = resample_filter(up, down)
         # output k reads input up to (k * down + len(h) / 2) / up, so the 10 s kept need no more
         # input than this; the rest would only make samples the cut drops (up / down of them per input)
@@ -172,8 +174,12 @@ def load_wav(path, payload) -> AudioClip:
             data /= n_channels
         return AudioClip(samples=data, sample_rate=rate)
     except (ContractError, wave.Error, EOFError, RuntimeError) as exc:
-        # `wave` raises a bare EOFError or RuntimeError for a chunk that runs past its container
-        raise ContractError(f"{path}: {str(exc) or 'a chunk runs past the end of the file'}") from None
+        if type(exc) in (EOFError, RuntimeError) and not str(exc):
+            # how `wave`'s chunk parser reports a chunk that runs past its container
+            message = "a chunk runs past the end of the file"
+        else:
+            message = str(exc) or type(exc).__name__
+        raise ContractError(f"{path}: {message}") from None
 
 
 @dataclass
@@ -204,6 +210,8 @@ def ingest(rows, out_dir) -> IngestResult:
             check_file_name("row id", row.id)  # it names the row's feature file
             if not row.path:
                 raise ContractError("no WAV path")
+            if "\0" in row.path:
+                raise ContractError(f"WAV path {row.path!r} holds NUL")
             payload = Path(row.path).read_bytes()
             frontend = f"|{TARGET_RATE}|{WINDOW}|{HOP}|{N_MELS}|{LOG_FLOOR}|{checkpoint.FEATURE_DTYPE}"
             digest = hashlib.sha256(payload)  # updated, not concatenated: no copy of the WAV bytes
@@ -214,7 +222,7 @@ def ingest(rows, out_dir) -> IngestResult:
                 feat = logmel(clip)
                 checkpoint.save_features(feature_path, feat.frames)
             updated.append(replace(row, feature_path=str(feature_path)))
-        except (ValueError, OSError) as exc:  # a ContractError, or a path holding NUL, or a rate scipy cannot resample
+        except (ContractError, OSError) as exc:
             errors.append((row.id, str(exc)))
             updated.append(row)
     return IngestResult(rows=updated, errors=errors)

@@ -52,6 +52,16 @@ class TestResample:
         out = resample(AudioClip(x, 32000))
         np.testing.assert_array_equal(out.samples, x)
 
+    def test_rate_that_rounds_to_the_target_is_not_filtered(self):
+        # 32000/31990 rounds to 1/1 under a denominator limit of 1000; a 1/1 filter design has cutoff 1 and fails
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, CLIP_SAMPLES)
+        out = resample(AudioClip(x, 31990))
+        assert out.sample_rate == 32000 and out.samples.tobytes() == x.tobytes()
+
+    def test_too_high_a_rate_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="sample rate 100000000 Hz is too high to resample to 32000 Hz"):
+            resample(AudioClip(np.zeros(100), 100_000_000))
+
     def test_short_clip_zero_padded(self):
         x = np.ones(5 * 32000) * 0.1
         out = resample(AudioClip(x, 32000))
@@ -277,6 +287,15 @@ class TestIngest:
         write_wav(tmp_path / "st.wav", interleaved, 32000, channels=2)
         clip = load_wav(tmp_path / "st.wav", (tmp_path / "st.wav").read_bytes())
         assert np.abs(clip.samples).max() < 1e-3
+
+    def test_fault_without_a_message_is_named_by_its_type(self, monkeypatch):
+        # a NotImplementedError is a RuntimeError, but not the bare one `wave`'s chunk parser raises
+        def fail(*args):
+            raise NotImplementedError
+
+        monkeypatch.setattr(audio.wave, "open", fail)
+        with pytest.raises(ContractError, match=r"^x\.wav: NotImplementedError$"):
+            load_wav("x.wav", b"")
 
     @pytest.mark.parametrize("channels", [2, 3])
     def test_downmix_is_numpys_channel_mean_bitwise(self, channels):

@@ -72,7 +72,7 @@ def learned_run(tmp_path_factory):
     work = tmp_path_factory.mktemp("learned")
     synth = {"n_classes": 3, "devices": [["A", 0.0], ["B", 0.3]], "samples_per_device_per_class": 8, "seed": 1}
     (work / "synth.json").write_text(json.dumps(synth))
-    (work / "train.json").write_text(json.dumps({"epochs": 30, "seed": 0}))
+    (work / "train.json").write_text(json.dumps({"epochs": 30, "seed": 0, "device_groups": {"targets": ["B"]}}))
     save_index_table({"A": DomainEntry(0.0, 0), "B": DomainEntry(0.3, 1)}, work / "index.json")
     assert main(["synth", "--config", str(work / "synth.json"), "--out", str(work / "data")]) == 0
     assert main(["train", "--config", str(work / "train.json"), "--manifest", str(work / "data/manifest.csv"),
@@ -390,7 +390,8 @@ class TestTrainEval:
                      "--out", str(ev)]) == 0
         report = (learned_run / "run/report.json").read_bytes()
         assert report == (ev / "report.json").read_bytes()
-        assert json.loads(report).keys() == {"groups", "per_device"}
+        assert json.loads(report).keys() == {"groups", "per_device"} and json.loads(report)["groups"]
+        assert (learned_run / "run/accuracy.csv").read_bytes() == (ev / "accuracy.csv").read_bytes()
 
     def test_index_table_recorded_in_run_json_not_reports(self, train_inputs, tmp_path):
         manifest, index, config = train_inputs
@@ -418,7 +419,7 @@ class TestEvalKeysOnClassNames:
         # labels keyed on the manifest's sorted scenes would shift with scene0 renamed to zz
         renamed = [replace(r, scene="zz") if r.scene == "scene0" else r
                    for r in read_manifest(learned_run / "data/manifest.csv")]
-        code, accuracy = self._eval(learned_run, renamed, tmp_path)
+        code, accuracy = self._eval(learned_run, renamed, tmp_path, "--config", str(learned_run / "train.json"))
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if code == 1:
@@ -428,7 +429,7 @@ class TestEvalKeysOnClassNames:
 
     def test_test_rows_alone_score_the_same(self, learned_run, tmp_path):
         rows = [r for r in read_manifest(learned_run / "data/manifest.csv") if r.split == "test"]
-        code, accuracy = self._eval(learned_run, rows, tmp_path)
+        code, accuracy = self._eval(learned_run, rows, tmp_path, "--config", str(learned_run / "train.json"))
         assert code == 0 and accuracy.read_bytes() == (learned_run / "run/accuracy.csv").read_bytes()
 
     def test_checkpoint_without_class_names_exits_one(self, learned_run, tmp_path, capsys):
@@ -752,6 +753,22 @@ class TestMalformedManifests:
         assert list(tmp_path.rglob("*.mtt")) == [] and list((out / "features").iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "out", "wav.csv"]
 
+    def test_wav_path_holding_nul_fails_its_row_alone(self, tmp_path, capsys):
+        good = tmp_path / "good.wav"
+        with wave.open(str(good), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(32000)
+            wf.writeframes(bytes(2 * 32000))
+        rows = [ManifestRow(id="good", path=str(good), scene="park", device="A"),
+                ManifestRow(id="bad", path=str(tmp_path / "b\0ad.wav"), scene="park", device="A")]
+        write_manifest(rows, tmp_path / "wav.csv")
+        out = tmp_path / "out"
+        assert main(["ingest", "--manifest", str(tmp_path / "wav.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "row bad: WAV path" in err and "holds NUL" in err
+        assert [bool(r.feature_path) for r in read_manifest(out / "manifest.csv")] == [True, False]
+
     @pytest.mark.parametrize(
         "mutate, expect",
         [
@@ -759,8 +776,8 @@ class TestMalformedManifests:
             (lambda b: _with_u32(b, 16, 60), "bad.wav: a chunk runs past the end of the file"),  # fmt chunk size
             (lambda b: _with_u32(b, 4, 20), "bad.wav: a chunk runs past the end of the file"),  # RIFF chunk size
             (lambda b: b[:-1], "bad.wav: 63999 data bytes are not whole 1-channel 16-bit frames"),
-            # a rate too high to resample is a well-formed WAV that scipy rejects
-            (lambda b: _with_u32(b, 24, 100_000_000), "row bad: Invalid cutoff frequency"),
+            # the ratio 32000 / rate rounds to 0 above about 64 MHz
+            (lambda b: _with_u32(b, 24, 100_000_000), "row bad: sample rate 100000000 Hz is too high to resample"),
         ],
         ids=["fmt-size", "riff-size", "odd-byte-count", "high-rate"],
     )

@@ -493,8 +493,9 @@ class TestIndexPipeline:
                 checkpoint.save_features(paths[-1], rng.normal(loc=d, size=frames))
                 rows.append(ManifestRow(id=paths[-1].stem, scene="s0" if device == "A" else "", device=device,
                                         parallel_group=f"g{k}" if k < parallel else "", feature_path=str(paths[-1])))
-        table, peak = traced_peak(lambda: compute_index_table(rows, seed=0, tsne_iters=20))
-        kept = len(devices) * min(per_device, 200)
+        max_rows = 200
+        table, peak = traced_peak(lambda: compute_index_table(rows, seed=0, tsne_iters=20, max_rows_per_device=max_rows))
+        kept = len(devices) * min(per_device, max_rows)
         stacked, p_bytes = kept * frames[0] * frames[1] * 4, kept**2 * 8
         assert sorted(table) == list(devices)
         assert peak <= bound(stacked, p_bytes), f"peak {peak} B ({peak / p_bytes:.3f} P), stacked frames {stacked} B"
